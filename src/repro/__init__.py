@@ -27,9 +27,7 @@ supported entry points and keep working across refactors.
 * the execution farm — :class:`JobSpec`, :class:`JobResult`,
   :class:`SimulationFarm`, :class:`FarmReport`.
 
-Any other public name of :mod:`repro.fluid`, :mod:`repro.core` or
-:mod:`repro.nn` remains reachable from the root through a deprecation shim
-(emits :class:`DeprecationWarning`; import from the subpackage instead).
+Every other public name is imported from its subpackage.
 
 Subpackages
 -----------
@@ -59,7 +57,7 @@ Subpackages
 ``repro.metrics``
     Runtime counters/timers with hierarchical scopes and JSON export.
 ``repro.trace``
-    Structured tracing: nested spans, histogram metrics with percentiles,
+    Structured tracing: nested spans, per-span percentile summaries,
     typed step-event streams, JSONL and Chrome ``trace_event`` export.
 ``repro.benchmark``
     The ``repro bench`` performance suite (writes ``BENCH_*.json``).
@@ -68,8 +66,6 @@ Subpackages
 """
 
 from __future__ import annotations
-
-import warnings
 
 from . import metrics, trace
 from .metrics import MetricsRegistry, get_metrics
@@ -134,23 +130,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    """Deprecation shim: resolve moved/unlisted names from the subpackages.
-
-    Keeps historical root-level access (e.g. ``repro.MIC0Preconditioner``)
-    working while steering callers to the canonical import location.
-    """
-    import importlib
-
-    for subpackage in ("fluid", "core", "nn", "farm"):
-        mod = importlib.import_module(f"repro.{subpackage}")
-        if name in getattr(mod, "__all__", ()):
-            warnings.warn(
-                f"importing {name!r} from 'repro' is deprecated; "
-                f"use 'repro.{subpackage}.{name}' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return getattr(mod, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

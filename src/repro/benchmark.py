@@ -50,9 +50,9 @@ Benchmarks
 ``metrics_overhead``
     The same pinned simulation (64x64, 8 steps, interleaved reps) with
     metrics disabled (``NULL_METRICS``, the library default) vs. a live
-    :class:`repro.metrics.MetricsRegistry` collecting the flat counters
-    *and* the labeled metric families (``sim_step_seconds``,
-    ``solver_iterations``).  Same interleaved-pair methodology as
+    :class:`repro.metrics.MetricsRegistry` collecting the flat counters,
+    the histogram timers *and* the labeled ``solver_iterations`` family.
+    Same interleaved-pair methodology as
     ``tracing_overhead``; ``overhead_ratio_best`` is gated in CI at 1.05,
     holding the full observability layer to <5% even when on.
 ``scenario_sweep``
@@ -502,9 +502,8 @@ def _bench_metrics_overhead(
     registry, the library-wide steady state), so ``disabled_seconds``
     measures the dead-branch cost left in the hot paths; the enabled run
     passes a live :class:`repro.metrics.MetricsRegistry`, which collects
-    the flat counters/timers *and* the labeled metric families
-    (``sim_step_seconds{solver}``, ``solver_iterations{solver}``) the
-    Prometheus exposition serves.  Methodology is identical to
+    the flat counters, the histogram timers *and* the labeled
+    ``solver_iterations{solver}`` family the Prometheus exposition serves.  Methodology is identical to
     ``tracing_overhead`` — interleaved disabled/enabled reps, the median
     of per-pair ratios as the headline, and ``overhead_ratio_best`` (the
     minimum pairwise ratio, the pair least disturbed by ambient load) as

@@ -25,7 +25,7 @@ the registry with per-scenario parameter docs.
 per-step records plus the run's full metrics profile, suitable for piping
 into analysis tools.  ``simulate``, ``adaptive`` and ``farm`` accept
 ``--trace PATH`` to record a structured timeline (nested spans, typed step
-events, latency histograms) and write it in Chrome ``trace_event`` format —
+events) and write it in Chrome ``trace_event`` format —
 loadable in Perfetto / ``chrome://tracing`` and readable back with
 ``repro trace``.  The common ``--grid/--seed/--steps`` options are defined
 once on shared parent parsers.
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     tracing = argparse.ArgumentParser(add_help=False)
     tracing.add_argument(
         "--trace", type=str, default=None, metavar="PATH",
-        help="record a structured trace (spans + step events + histograms) "
+        help="record a structured trace (spans + step events) "
         "and write it as a Chrome trace_event file at PATH",
     )
 
@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("file", type=str, help="trace file (Chrome JSON or JSONL)")
     trc.add_argument(
         "--summary", action="store_true",
-        help="print only the per-span latency table (p50/p95/p99 from "
-        "histogram data)",
+        help="print only the per-span latency table (p50/p95/p99 over "
+        "the recorded spans)",
     )
     trc.add_argument(
         "--events", nargs="?", const="all", default=None, metavar="TYPE",

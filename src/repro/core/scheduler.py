@@ -197,8 +197,6 @@ class AdaptiveController:
         old = self.current.name
         self._idx = new_idx
         sim.solver = self._solvers[self.current.name]
-        m = self._metrics if self._metrics is not None else get_metrics()
-        m.inc("adaptive/switches")
         self._event_counter().inc(
             event="model_switch", solver=self.current.name, scenario=self.scenario
         )
@@ -234,7 +232,6 @@ class AdaptiveController:
         if self._idx + 1 < len(self.ladder):
             self._switch(sim, step, self._idx + 1, q_pred)
             return
-        m = self._metrics if self._metrics is not None else get_metrics()
         if self.nn_pcg is not None:
             # third outcome: continue the trajectory in place under the
             # exact NN-preconditioned CG solver instead of restarting
@@ -250,7 +247,6 @@ class AdaptiveController:
                     predicted_qloss=q_pred,
                 )
             )
-            m.inc("adaptive/nn_preconds")
             self._event_counter().inc(
                 event="nn_precond", solver=self.nn_pcg.name, scenario=self.scenario
             )
@@ -264,7 +260,6 @@ class AdaptiveController:
             )
             return
         self.stats.restart_requested = True
-        m.inc("adaptive/restarts")
         self._event_counter().inc(
             event="pcg_fallback", solver="pcg", scenario=self.scenario
         )

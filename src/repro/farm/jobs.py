@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -224,19 +223,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output.
-
-        Dicts persisted before the scenario field existed load through a
-        compat shim (``scenario`` defaults to ``smoke_plume``) with a
-        :class:`DeprecationWarning` asking callers to re-serialise.
-        """
-        if "scenario" not in d:
-            warnings.warn(
-                "JobSpec dict without a 'scenario' field is deprecated; "
-                "re-serialise the spec (defaulting to scenario='smoke_plume')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        """Rebuild a spec from :meth:`to_dict` output (a missing
+        ``scenario`` takes the field default, ``smoke_plume``)."""
         return cls(**d)
 
 

@@ -174,8 +174,8 @@ class SimulationFarm:
         threads — must be thread-safe.
     trace:
         Enable structured tracing: workers run with an enabled
-        :class:`repro.trace.Tracer` and the farm merges their spans,
-        events and histograms into :attr:`tracer`.
+        :class:`repro.trace.Tracer` and the farm merges their spans and
+        events into :attr:`tracer`.
     heartbeat_seconds:
         Minimum spacing of per-job ``heartbeat`` progress events.
     """

@@ -30,7 +30,6 @@ from scipy.ndimage import distance_transform_edt, label
 from scipy.sparse.linalg import splu
 
 from repro.metrics import MetricsRegistry, get_metrics
-from repro.trace import get_tracer
 
 from .advection import _backtrace
 from .grid import CellType, MACGrid2D
@@ -133,7 +132,7 @@ class FreeSurfaceSolver(PressureSolver):
             )
         closed = ~liquid  # solid + air: everything excluded from the solve
         air = closed & ~solid
-        with get_tracer().span("solve/free_surface") as span:
+        with m.measure(f"solver/{self.name}/solve") as span:
             kern, matrix, lu = self._cache.get(
                 closed, lambda: self._factorize(closed, air), m
             )

@@ -64,8 +64,6 @@ returned pressure is nullspace-free.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.metrics import MetricsRegistry, get_metrics
@@ -272,35 +270,20 @@ class NNPCGSolver(PressureSolver):
         capacity = self._xs[shape].shape[0] if shape in self._xs else 1
         if plan is not None and plan.capacity >= capacity:
             return plan
-        tracer = get_tracer()
-        build_started = time.perf_counter()
         try:
-            with metrics.timer(f"solver/{self.name}/plan_build"):
-                with tracer.span("plan_build", solver=self.name, capacity=capacity) as bsp:
-                    plan = InferencePlan(
-                        self.model,
-                        (2,) + shape,
-                        batch_capacity=capacity,
-                        dtype=_PRECISIONS[self.precision],
-                    )
+            with metrics.measure(f"solver/{self.name}/plan_build", capacity=capacity):
+                plan = InferencePlan(
+                    self.model,
+                    (2,) + shape,
+                    batch_capacity=capacity,
+                    dtype=_PRECISIONS[self.precision],
+                )
         except PlanError:
             self._plan_unsupported = True
             metrics.inc(f"solver/{self.name}/plan_unsupported")
             return None
         self._plans[shape] = plan
-        metrics.inc(f"solver/{self.name}/plan_builds")
-        metrics.families.histogram(
-            "nn_plan_build_seconds",
-            help="InferencePlan compile time by solver and precision.",
-            labels=("solver", "precision"),
-            unit="seconds",
-        ).observe(
-            time.perf_counter() - build_started,
-            exemplar=bsp.span_id if bsp is not None else None,
-            solver=self.name,
-            precision=self.precision,
-        )
-        tracer.event(
+        get_tracer().event(
             "plan_build",
             solver=self.name,
             shape=list(shape),
@@ -375,9 +358,8 @@ class NNPCGSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Solve ``A p = b`` on fluid cells; returns mean-zero pressure."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        tr = get_tracer()
-        with metrics.timer(f"solver/{self.name}/solve"), tr.span(
-            f"solve/{self.name}", precision=self.precision, window=self.window
+        with metrics.measure(
+            f"solver/{self.name}/solve", precision=self.precision, window=self.window
         ) as sp:
             result, nn_steps, safeguard_steps = self._solve(b, solid, metrics)
             if sp is not None:
@@ -385,10 +367,6 @@ class NNPCGSolver(PressureSolver):
                 sp.attrs["converged"] = result.converged
                 sp.attrs["nn_steps"] = nn_steps
                 sp.attrs["safeguard_steps"] = safeguard_steps
-        # per-solve iteration distribution (log-bucket histogram, mergeable
-        # across workers like the span-latency histograms)
-        tr.observe(f"solve/{self.name}/iterations", float(result.iterations))
-        metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/iterations", result.iterations)
         metrics.inc(f"solver/{self.name}/nn_steps", nn_steps)
         metrics.inc(f"solver/{self.name}/safeguard_steps", safeguard_steps)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics import MetricsRegistry, get_metrics
-from repro.trace import get_tracer
 
 from .operators import apply_laplacian
 from .kernels import GeometryKernels
@@ -249,9 +248,7 @@ class PCGSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Solve ``A p = b`` on fluid cells; returns mean-zero pressure."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve"), get_tracer().span(
-            f"solve/{self.name}", backend=self.backend
-        ) as sp:
+        with metrics.measure(f"solver/{self.name}/solve", backend=self.backend) as sp:
             if self.backend == "kernel":
                 result = self._solve_kernel(b, solid, metrics)
             else:
@@ -259,7 +256,6 @@ class PCGSolver(PressureSolver):
             if sp is not None:
                 sp.attrs["iterations"] = result.iterations
                 sp.attrs["converged"] = result.converged
-        metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/iterations", result.iterations)
         metrics.families.histogram(
             "solver_iterations",
@@ -271,10 +267,6 @@ class PCGSolver(PressureSolver):
             solver=self.name,
         )
         return result
-
-    # kept under its historical name for callers that dispatched on it
-    def _solve(self, b: np.ndarray, solid: np.ndarray, metrics: MetricsRegistry) -> SolveResult:
-        return self._solve_reference(b, solid, metrics)
 
     def _solve_kernel(self, b: np.ndarray, solid: np.ndarray, metrics: MetricsRegistry) -> SolveResult:
         """Flat fluid-vector CG: CSR matvec + SuperLU triangular sweeps."""
@@ -439,9 +431,7 @@ class JacobiSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Run (damped) Jacobi sweeps; converged only if ``tol`` was hit."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve"), get_tracer().span(
-            f"solve/{self.name}"
-        ):
+        with metrics.measure(f"solver/{self.name}/solve"):
             kern: GeometryKernels = self._kernels_cache.get(
                 solid, lambda: GeometryKernels(solid), metrics
             )
@@ -460,7 +450,6 @@ class JacobiSolver(PressureSolver):
             if nf:
                 pf = pf - pf.mean()
             p = kern.scatter(pf)
-        metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/iterations", it)
         metrics.families.histogram(
             "solver_iterations",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from repro.metrics import MetricsRegistry, get_metrics
-from repro.trace import Event, Tracer, get_tracer
+from repro.trace import Event, get_tracer
 
 from .advection import advect_scalar, advect_velocity, maccormack_scalar
 from .forces import add_buoyancy, add_vorticity_confinement
@@ -156,7 +155,6 @@ class FluidSimulator:
         config: SimulationConfig | None = None,
         controller: Callable[["FluidSimulator", StepRecord], None] | None = None,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
     ):
         self.grid = grid
         self.solver = solver
@@ -164,7 +162,6 @@ class FluidSimulator:
         self.config = config or SimulationConfig()
         self.controller = controller
         self.metrics = metrics
-        self.tracer = tracer
         self.weights = divnorm_weights(grid.solid, self.config.divnorm_k)
         self._weights_key = grid.solid.tobytes()
         self.records: list[StepRecord] = []
@@ -174,9 +171,6 @@ class FluidSimulator:
         self.timeline: list[Event] = []
         #: step index where the current segment began (0 unless restored)
         self._segment_start = 0
-
-    def _tracer(self) -> Tracer:
-        return self.tracer if self.tracer is not None else get_tracer()
 
     def _refresh_weights(self) -> None:
         """Recompute DivNorm weights when the solid mask has changed.
@@ -195,12 +189,13 @@ class FluidSimulator:
         cfg = self.config
         g = self.grid
         m = self.metrics if self.metrics is not None else get_metrics()
-        tr = self._tracer()
+        # the record's own step time: simulation output (Eq. 8 costs, the
+        # `step` event), kept when metrics and tracing are both off
         t0 = time.perf_counter()
-        with m.scope("sim"), tr.span("step", step=self._step):
+        with m.scope("sim"), m.measure("step", step=self._step):
             if self.source is not None:
                 self.source.apply(g, cfg.dt)
-            with m.timer("advection"), tr.span("advection"):
+            with m.measure("advection"):
                 if cfg.maccormack:
                     g.density = maccormack_scalar(g, g.density, cfg.dt)
                 else:
@@ -208,31 +203,20 @@ class FluidSimulator:
                 new_u, new_v = advect_velocity(g, cfg.dt)
                 g.u, g.v = new_u, new_v
             g.enforce_solid_boundaries()
-            with m.timer("forces"), tr.span("forces"):
+            with m.measure("forces"):
                 add_buoyancy(g, cfg.dt, cfg.buoyancy)
                 if cfg.vorticity_eps > 0:
                     add_vorticity_confinement(g, cfg.dt, cfg.vorticity_eps)
-            info = project(g, self.solver, cfg.dt, cfg.rho, metrics=m, tracer=tr)
+            info = project(g, self.solver, cfg.dt, cfg.rho, metrics=m)
             self._refresh_weights()
             divnorm = compute_divnorm(g, self.weights)
-            rec = StepRecord(
-                step=self._step,
-                divnorm=divnorm,
-                projection=info,
-                step_seconds=time.perf_counter() - t0,
-            )
-            m.inc("steps")
             m.inc("solver_iterations", info.iterations)
-            m.observe("step", rec.step_seconds)
-        if m.enabled:
-            # labeled step-latency distribution: the per-solver tail (p99)
-            # that flat timers average away
-            m.families.histogram(
-                "sim_step_seconds",
-                help="Wall-clock per simulation step by pressure solver.",
-                labels=("solver",),
-                unit="seconds",
-            ).observe(rec.step_seconds, solver=info.solver_name)
+        rec = StepRecord(
+            step=self._step,
+            divnorm=divnorm,
+            projection=info,
+            step_seconds=time.perf_counter() - t0,
+        )
         # the typed step-event stream: always recorded (it is the source of
         # truth for divnorm trajectories), mirrored into the tracer when on
         now = time.time()
@@ -251,6 +235,7 @@ class FluidSimulator:
         )
         self.timeline.append(ev_div)
         self.timeline.append(ev_step)
+        tr = get_tracer()
         tr.record(ev_div)
         tr.record(ev_step)
         self.records.append(rec)
@@ -262,7 +247,7 @@ class FluidSimulator:
     def run(self, n_steps: int) -> SimulationResult:
         """Run ``n_steps`` steps and return the result (density + records)."""
         t0 = time.perf_counter()
-        with self._tracer().span("sim", steps=n_steps, start_step=self._step):
+        with get_tracer().span("sim", steps=n_steps, start_step=self._step):
             for _ in range(n_steps):
                 self.step()
         return SimulationResult(
@@ -291,23 +276,6 @@ class FluidSimulator:
             key=lambda e: e.step,
         )
         return np.array([e.attrs["value"] for e in events], dtype=np.float64)
-
-    @property
-    def _restored_divnorms(self) -> np.ndarray:
-        """Deprecated shim over the ``divnorm`` events of :attr:`timeline`.
-
-        Pre-PR5 code read this private array directly; the step-event
-        timeline is now the source of truth.  Use
-        :attr:`full_divnorm_history` (or filter :attr:`timeline`).
-        """
-        warnings.warn(
-            "FluidSimulator._restored_divnorms is deprecated; read the "
-            "'divnorm' events of FluidSimulator.timeline (or "
-            "full_divnorm_history) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._restored_divnorm_values()
 
     @property
     def full_divnorm_history(self) -> np.ndarray:

@@ -94,9 +94,8 @@ class SpectralSolver(PressureSolver):
         if not spectral_eligible(solid):
             metrics.inc(f"solver/{self.name}/fallbacks")
             return self.fallback.solve(b, solid)
-        with metrics.timer(f"solver/{self.name}/solve"):
+        with metrics.measure(f"solver/{self.name}/solve"):
             result = self._solve(b, solid, metrics)
-        metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/iterations", result.iterations)
         return result
 

@@ -14,8 +14,11 @@ Concepts
 counters
     Monotonic floats keyed by name (``inc``).
 timers
-    Aggregated wall-clock statistics per name (count/total/min/max), driven
-    by the :meth:`MetricsRegistry.timer` context manager.
+    Wall-clock distributions per name, each a log-bucket
+    :class:`~repro.trace.HistogramStat` (count/total/min/max plus p50/p99),
+    driven by the :meth:`MetricsRegistry.measure` context manager.  One
+    ``measure`` is the single write of a timed region: it feeds the timer
+    and, when the active tracer is enabled, a span of the same name.
 scopes
     Hierarchical name prefixes: inside ``with m.scope("sim")`` every metric
     name is recorded as ``sim/<name>``, so nested components compose into a
@@ -40,90 +43,20 @@ per-worker profiles into one farm-level report.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+
+from repro.trace import HistogramStat, get_tracer
 
 __all__ = [
-    "TimerStat",
     "MetricsRegistry",
     "NULL_METRICS",
     "get_metrics",
     "set_metrics",
     "reset_metrics",
 ]
-
-
-@dataclass
-class TimerStat:
-    """Aggregated wall-clock statistics of one named timer.
-
-    Empty stats are normal forms: ``min = +inf`` and ``max = -inf`` (the
-    identities of min/max), so merging any combination of empty and
-    non-empty stats — including ones restored from snapshots — is exactly
-    commutative and associative, and ``to_dict``/``from_dict`` round-trip
-    bit-for-bit (both bounds serialise as ``null`` when empty).
-    """
-
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-
-    def add(self, seconds: float) -> None:
-        """Fold one observation into the aggregate."""
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per observation (0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "TimerStat") -> None:
-        """Fold another aggregate into this one (commutative)."""
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (``min``/``max`` are null when empty)."""
-        empty = self.count == 0
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": None if empty else self.min,
-            "max": None if empty else self.max,
-            "mean": self.mean,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimerStat":
-        """Inverse of :meth:`to_dict`.
-
-        Snapshots of empty stats — including historical ones that recorded
-        ``max = 0.0`` with ``count = 0`` — normalise back to the canonical
-        empty form, so a restored empty stat merges as a true identity.
-        """
-        count = int(d["count"])
-        if count == 0:
-            return cls()
-        return cls(
-            count=count,
-            total=float(d["total"]),
-            min=math.inf if d.get("min") is None else float(d["min"]),
-            max=-math.inf if d.get("max") is None else float(d.get("max", 0.0)),
-        )
 
 
 class MetricsRegistry:
@@ -136,7 +69,7 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.counters: dict[str, float] = {}
-        self.timers: dict[str, TimerStat] = {}
+        self.timers: dict[str, HistogramStat] = {}
         # labeled metric families (repro.obs); created lazily so flat-only
         # users pay nothing and snapshots without labels stay byte-stable
         self._families = None
@@ -200,17 +133,30 @@ class MetricsRegistry:
         self.counters[key] = self.counters.get(key, 0.0) + value
 
     @contextmanager
-    def timer(self, name: str):
-        """Time the block's wall-clock and fold it into timer ``name``."""
-        if not self.enabled:
-            yield
+    def measure(self, name: str, **attrs):
+        """Time the block once: fold it into timer ``name`` and trace it.
+
+        The duration lands in the scoped timer; when the active tracer
+        (:func:`repro.trace.get_tracer`) is enabled it also closes a span
+        named ``name`` carrying ``attrs`` with the same duration.  Yields
+        that span (None when tracing is off) so the block can attach
+        results such as iteration counts.
+        """
+        tracer = get_tracer()
+        if not (self.enabled or tracer.enabled):
+            yield None
             return
         key = self._qualify(name)  # resolve before the block may change scope
+        sp = tracer.begin(name, **attrs)
         t0 = time.perf_counter()
         try:
-            yield
+            yield sp
         finally:
-            self.observe(key, time.perf_counter() - t0, _qualified=True)
+            seconds = time.perf_counter() - t0
+            if sp is not None:
+                tracer.end(sp, seconds)
+            if self.enabled:
+                self.observe(key, seconds, _qualified=True)
 
     def observe(self, name: str, seconds: float, _qualified: bool = False) -> None:
         """Record one already-measured duration into timer ``name``."""
@@ -219,7 +165,7 @@ class MetricsRegistry:
         key = name if _qualified else self._qualify(name)
         stat = self.timers.get(key)
         if stat is None:
-            stat = self.timers[key] = TimerStat()
+            stat = self.timers[key] = HistogramStat()
         stat.add(seconds)
 
     # ------------------------------------------------------------------
@@ -241,7 +187,7 @@ class MetricsRegistry:
         for name, stat in other.timers.items():
             mine = self.timers.get(name)
             if mine is None:
-                mine = self.timers[name] = TimerStat()
+                mine = self.timers[name] = HistogramStat()
             mine.merge(stat)
         if other._families is not None and len(other._families):
             self.families.merge(other._families)
@@ -257,13 +203,14 @@ class MetricsRegistry:
     def to_dict(self) -> dict:
         """Snapshot as a plain-JSON-serialisable dict.
 
-        The ``families`` key appears only when labeled families were
-        recorded, keeping label-free snapshots byte-identical to the
-        historical format.
+        Each timer carries its histogram (``count``/``total``/``min``/
+        ``max``/``buckets``) plus the derived ``mean``, ``p50`` and ``p99``,
+        which :meth:`from_dict` ignores.  The ``families`` key appears only
+        when labeled families were recorded.
         """
         snapshot = {
             "counters": dict(sorted(self.counters.items())),
-            "timers": {k: v.to_dict() for k, v in sorted(self.timers.items())},
+            "timers": {k: _timer_dict(v) for k, v in sorted(self.timers.items())},
         }
         if self._families is not None and len(self._families):
             snapshot["families"] = self._families.to_dict()["families"]
@@ -278,7 +225,9 @@ class MetricsRegistry:
         """Rebuild a registry from a :meth:`to_dict` snapshot."""
         reg = cls()
         reg.counters.update({k: float(v) for k, v in d.get("counters", {}).items()})
-        reg.timers.update({k: TimerStat.from_dict(v) for k, v in d.get("timers", {}).items()})
+        reg.timers.update(
+            {k: HistogramStat.from_dict(v) for k, v in d.get("timers", {}).items()}
+        )
         if d.get("families"):
             reg.families.merge({"families": d["families"]})
         return reg
@@ -288,6 +237,17 @@ class MetricsRegistry:
             f"MetricsRegistry(enabled={self.enabled}, "
             f"{len(self.counters)} counters, {len(self.timers)} timers)"
         )
+
+
+def _timer_dict(stat: HistogramStat) -> dict:
+    """A timer's snapshot: its histogram plus mean and p50/p99 for readers."""
+    empty = stat.count == 0
+    return {
+        **stat.to_dict(),
+        "mean": stat.mean,
+        "p50": None if empty else stat.quantile(0.50),
+        "p99": None if empty else stat.quantile(0.99),
+    }
 
 
 #: Shared disabled registry: safe default for code that wants zero overhead.

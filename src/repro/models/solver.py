@@ -141,25 +141,20 @@ class NNProjectionSolver(PressureSolver):
             and plan.capacity == capacity
         ):
             return plan
-        tracer = get_tracer()
         try:
-            with metrics.timer(f"solver/{self.name}/plan_build"):
-                with tracer.span(
-                    "plan_build", solver=self.name, capacity=capacity
-                ):
-                    self._plan = InferencePlan(
-                        self.model,
-                        (2,) + shape,
-                        batch_capacity=capacity,
-                        dtype=_PRECISIONS[self.precision],
-                    )
+            with metrics.measure(f"solver/{self.name}/plan_build", capacity=capacity):
+                self._plan = InferencePlan(
+                    self.model,
+                    (2,) + shape,
+                    batch_capacity=capacity,
+                    dtype=_PRECISIONS[self.precision],
+                )
         except PlanError:
             self._plan = None
             self._plan_unsupported = True
             metrics.inc(f"solver/{self.name}/plan_unsupported")
             return None
-        metrics.inc(f"solver/{self.name}/plan_builds")
-        tracer.event(
+        get_tracer().event(
             "plan_build",
             solver=self.name,
             shape=list(shape),
@@ -178,9 +173,8 @@ class NNProjectionSolver(PressureSolver):
     def solve(self, b: np.ndarray, solid: np.ndarray) -> SolveResult:
         """Approximate the Poisson solution with ``passes`` network inferences."""
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve"):
+        with metrics.measure(f"solver/{self.name}/solve"):
             result = self._solve_many([b], [solid], metrics)[0]
-        metrics.inc(f"solver/{self.name}/solves")
         metrics.inc(f"solver/{self.name}/inferences", result.iterations)
         return result
 
@@ -197,10 +191,8 @@ class NNProjectionSolver(PressureSolver):
         calls exactly (same operations, same order).
         """
         metrics = self._metrics if self._metrics is not None else get_metrics()
-        with metrics.timer(f"solver/{self.name}/solve_batch"):
+        with metrics.measure(f"solver/{self.name}/solve_batch"):
             results = self._solve_many(list(bs), list(solids), metrics)
-        metrics.inc(f"solver/{self.name}/batch_solves")
-        metrics.inc(f"solver/{self.name}/solves", len(results))
         metrics.inc(f"solver/{self.name}/batched_samples", len(results))
         metrics.inc(
             f"solver/{self.name}/inferences", sum(r.iterations for r in results)

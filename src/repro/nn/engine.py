@@ -49,13 +49,8 @@ fall back to the legacy forward.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from repro.metrics import get_metrics
-from repro.trace import get_tracer
 
 from .activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from .conv import Conv2d
@@ -376,43 +371,25 @@ class InferencePlan:
         self.runs = 0
         self.workspace_reuses = 0
 
-        compile_started = time.perf_counter()
-        with get_tracer().span(
-            "nn/plan_compile",
-            capacity=self.capacity,
-            dtype=str(self.dtype),
-        ) as sp:
-            self._in_slot = _Slot(_buf_shape(input_shape, self.layout))
-            slots = [self._in_slot]
-            self._steps, self._out_slot, self.output_shape = self._compile(
-                self._layers_of(model), self._in_slot, input_shape, slots
-            )
-
-            # one arena spanning every workspace; buffers are views into it,
-            # sized by capacity along the (reserved, leading) batch axis
-            for s in slots:
-                s.shape = (self.capacity,) + tuple(s.shape[1:])
-            total = sum(s.size for s in slots)
-            self._arena = np.empty(total, dtype=self.dtype)
-            offset = 0
-            for s in slots:
-                view = self._arena[offset : offset + s.size].reshape(s.shape)
-                if s.zero:  # conv pad borders stay zero for the arena's lifetime
-                    view[...] = 0
-                s.array = view
-                offset += s.size
-            if sp is not None:
-                sp.attrs["arena_bytes"] = int(self._arena.nbytes)
-        get_metrics().families.histogram(
-            "nn_plan_compile_seconds",
-            help="InferencePlan compile (lower + arena allocation) time.",
-            labels=("dtype",),
-            unit="seconds",
-        ).observe(
-            time.perf_counter() - compile_started,
-            exemplar=sp.span_id if sp is not None else None,
-            dtype=self.dtype.name,
+        self._in_slot = _Slot(_buf_shape(input_shape, self.layout))
+        slots = [self._in_slot]
+        self._steps, self._out_slot, self.output_shape = self._compile(
+            self._layers_of(model), self._in_slot, input_shape, slots
         )
+
+        # one arena spanning every workspace; buffers are views into it,
+        # sized by capacity along the (reserved, leading) batch axis
+        for s in slots:
+            s.shape = (self.capacity,) + tuple(s.shape[1:])
+        total = sum(s.size for s in slots)
+        self._arena = np.empty(total, dtype=self.dtype)
+        offset = 0
+        for s in slots:
+            view = self._arena[offset : offset + s.size].reshape(s.shape)
+            if s.zero:  # conv pad borders stay zero for the arena's lifetime
+                view[...] = 0
+            s.array = view
+            offset += s.size
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -519,17 +496,8 @@ class InferencePlan:
             np.copyto(self._in_slot.array[:n], x)  # casts at the boundary
         else:
             np.copyto(self._in_slot.array[:n], x.transpose(0, 2, 3, 1))
-        gemm_started = time.perf_counter()
         for step in self._steps:
             step.run(n)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.families.histogram(
-                "nn_gemm_seconds",
-                help="Fused-GEMM step-list execution time per plan forward.",
-                labels=("dtype",),
-                unit="seconds",
-            ).observe(time.perf_counter() - gemm_started, dtype=self.dtype.name)
         self.runs += 1
         self.workspace_reuses += 1  # every pass runs entirely in the arena
         out = self._out_slot.array[:n]

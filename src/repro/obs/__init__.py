@@ -1,7 +1,7 @@
 """Labeled metrics, Prometheus exposition, and SLO burn-rate monitoring.
 
 ``repro.obs`` is the observability layer above :mod:`repro.metrics` (flat
-counters/timers) and :mod:`repro.trace` (spans/events/histograms).  It adds
+counters/timers) and :mod:`repro.trace` (spans/events).  It adds
 the three things a production service needs that neither of those provide:
 
 * **labels** — :mod:`repro.obs.families` holds Counter/Gauge/Histogram
@@ -17,7 +17,7 @@ the three things a production service needs that neither of those provide:
   the ``repro top`` alerts panel.
 
 :mod:`repro.obs.prometheus` renders families (plus the flat
-:class:`~repro.metrics.MetricsRegistry` and tracer histograms) in the
+:class:`~repro.metrics.MetricsRegistry`) in the
 Prometheus text exposition format — served by the ``metrics`` wire op of
 :class:`repro.serve.ServiceServer` and an optional localhost HTTP scrape
 endpoint.

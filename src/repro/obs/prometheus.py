@@ -8,10 +8,10 @@ One render pass produces the standard ``text/plain; version=0.0.4`` page:
   :class:`repro.trace.HistogramStat` log-spaced buckets, plus ``_sum`` and
   ``_count``;
 * the flat :class:`repro.metrics.MetricsRegistry` renders too, so every
-  pre-existing ``sim/projection/pcg/solves`` counter is scrapeable without
-  re-instrumenting: slash-scoped names sanitize to
-  ``repro_sim_projection_pcg_solves_total`` and timers become
-  ``summary``-typed ``_seconds_sum``/``_seconds_count`` pairs;
+  ``sim/cache/mic0/hit`` counter is scrapeable without re-instrumenting:
+  slash-scoped names sanitize to ``repro_sim_cache_mic0_hit_total``, and
+  timers — :class:`~repro.trace.HistogramStat` like the families — render
+  through the same histogram writer as ``<name>_seconds`` series;
 * with ``openmetrics=True`` the page is rendered in the OpenMetrics
   exposition instead (``# EOF`` trailer, counter ``TYPE`` headers on the
   un-suffixed name) and histogram series may carry an **exemplar** — the
@@ -177,13 +177,13 @@ def render_prometheus(
             )
             lines.append(f"{sample_name} {_fmt(registry.counters[raw_name])}")
         for raw_name in sorted(registry.timers):
-            stat = registry.timers[raw_name]
             name = sanitize_metric_name(raw_name)
             if not name.endswith("_seconds"):
                 name += "_seconds"
-            _header(lines, name, "summary", f"flat timer {raw_name}")
-            lines.append(f"{name}_sum {_fmt(stat.total)}")
-            lines.append(f"{name}_count {stat.count}")
+            _header(lines, name, "histogram", f"flat timer {raw_name}")
+            _render_histogram_series(
+                lines, name, {}, registry.timers[raw_name], None, openmetrics
+            )
     if openmetrics:
         lines.append("# EOF")
     return "\n".join(lines) + "\n" if lines else ""

@@ -63,9 +63,8 @@ class TestSolveMany:
         solver = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=1, metrics=metrics)
         probs = [problem(s) for s in range(3)]
         solver.solve_many([b for b, _ in probs], [s for _, s in probs])
-        assert metrics.counter("solver/nn/batch_solves") == 1
+        assert metrics.timers["solver/nn/solve_batch"].count == 1
         assert metrics.counter("solver/nn/batched_samples") == 3
-        assert metrics.counter("solver/nn/solves") == 3
 
     def test_single_sample_path_unchanged_through_solve(self):
         b, solid = problem(3)
@@ -73,7 +72,7 @@ class TestSolveMany:
         solver = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2, metrics=metrics)
         res = solver.solve(b, solid)
         assert res.iterations == 2
-        assert metrics.counter("solver/nn/solves") == 1
+        assert metrics.timers["solver/nn/solve"].count == 1
         # geometry cache still primed by the single-sample path
         solver.solve(b, solid)
         assert metrics.counter("cache/nn_geometry/hit") == 1
@@ -253,7 +252,7 @@ class TestDeadlineRearm:
             t.join(30)
         assert solver._plan is not None
         assert solver._plan.capacity == 2
-        assert metrics.counter("solver/nn/plan_builds") == 1
+        assert metrics.timers["solver/nn/plan_build"].count == 1
 
 
 class TestConvWorkspaceCapacity:

@@ -67,18 +67,6 @@ def test_checkpoint_preserves_divnorm_history(tmp_path):
     np.testing.assert_allclose(fresh.full_divnorm_history, history)
 
 
-def test_restored_divnorms_shim_warns_but_still_answers(tmp_path):
-    sim = make_sim("pcg")
-    sim.run(SPLIT_AT)
-    history = [r.divnorm for r in sim.records]
-    path = save_checkpoint(sim, tmp_path / "c.npz")
-    fresh = make_sim("pcg")
-    fresh.load_state(load_checkpoint(path))
-    with pytest.warns(DeprecationWarning, match="_restored_divnorms is deprecated"):
-        values = fresh._restored_divnorms
-    np.testing.assert_allclose(values, history)
-
-
 def test_resume_stitches_timeline_without_dup_or_missing_steps(tmp_path):
     """The step-event timeline must cover every step exactly once after a
     checkpoint restore — no duplicated pre-restore events, no gap at the seam.

@@ -42,7 +42,7 @@ class TestFarmCLI:
         assert report["completed"] == 2
         assert report["backend"] == "serial"
         assert report["jobs_per_second"] > 0
-        assert report["metrics"]["counters"]["sim/steps"] == 4.0
+        assert report["metrics"]["timers"]["sim/step"]["count"] == 4
 
     def test_injected_raise_in_serial_backend_degrades(self, capsys):
         code = main(

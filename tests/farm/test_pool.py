@@ -21,7 +21,7 @@ class TestSerialBackend:
         assert report.total_steps == 9
         assert report.jobs_per_second > 0
         # merged farm profile sees every job's simulator counters
-        assert report.metrics.counter("sim/steps") == 9
+        assert report.metrics.timers["sim/step"].count == 9
         assert report.metrics.counter("farm/jobs") == 3
 
     def test_duplicate_job_ids_rejected(self):
@@ -70,7 +70,7 @@ class TestProcessBackend:
         # per-worker registries merged: every *surviving* attempt's steps
         # are visible (the crashed attempt died with its registry; its
         # retry resumed at step 2 and recorded only the final step)
-        assert report.metrics.counter("sim/steps") == 7 * 3 + 1
+        assert report.metrics.timers["sim/step"].count == 7 * 3 + 1
 
     def test_results_preserve_submission_order(self):
         report = SimulationFarm(workers=2, backend="process").run(make_jobs(4))
@@ -196,7 +196,7 @@ class TestBatchedBackend:
         # inference actually went through the stacked service
         assert batched.metrics.counter("farm/batch/dispatches") >= 1
         assert batched.metrics.counter("farm/batch/requests") == 9
-        assert batched.metrics.counter("solver/nn/batch_solves") >= 1
+        assert batched.metrics.timers["solver/nn/solve_batch"].count >= 1
 
     def test_mixed_solvers_run_and_only_nn_batches(self):
         jobs = [
@@ -306,12 +306,25 @@ class TestResizablePool:
         pool.shutdown()
 
     def test_cancel_queued_job_never_runs(self):
+        import threading
+
+        # hold the only worker inside "long" (its job_start event blocks)
+        # until "victim" is queued and cancelled, so no timing can let
+        # "long" finish first and hand the worker to "victim"
+        started, release = threading.Event(), threading.Event()
+
+        def on_event(event):
+            if event.get("type") == "job_start" and event.get("job_id") == "long":
+                started.set()
+                release.wait(60)
+
         results = []
-        pool = self._pool(results, workers=1)
+        pool = self._pool(results, workers=1, on_event=on_event)
         pool.submit(JobSpec(job_id="long", grid_size=16, steps=6))
-        assert self._wait(lambda: pool.busy == 1)
+        assert started.wait(30)
         pool.submit(JobSpec(job_id="victim", grid_size=16, steps=6))
         assert pool.cancel("victim") == "queued"
+        release.set()
         assert pool.drain(timeout=120)
         pool.shutdown()
         statuses = {r.job_id: r.status for r in results}

@@ -23,11 +23,10 @@ class TestJobSpecScenario:
         assert restored == spec
         assert restored.scenario == "dam_break:grid=16"
 
-    def test_legacy_dict_loads_with_deprecation_warning(self):
+    def test_dict_without_scenario_loads_as_smoke_plume(self):
         d = JobSpec(job_id="j", steps=4).to_dict()
         del d["scenario"]
-        with pytest.warns(DeprecationWarning, match="scenario"):
-            restored = JobSpec.from_dict(d)
+        restored = JobSpec.from_dict(d)
         assert restored.scenario == "smoke_plume"
 
     def test_unknown_scenario_rejected(self):

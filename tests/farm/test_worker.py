@@ -24,7 +24,7 @@ class TestRunJob:
         assert res.solver_used == "pcg"
         assert not res.degraded
         assert np.isfinite(res.final_divnorm)
-        assert res.metrics["counters"]["sim/steps"] == 4
+        assert res.metrics["timers"]["sim/step"]["count"] == 4
 
     def test_result_matches_direct_simulation(self):
         res = run_job(spec())

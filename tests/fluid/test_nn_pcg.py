@@ -222,20 +222,20 @@ class TestPlanPrewarm:
         solver = NNPCGSolver(net, metrics=metrics)
         solver.ensure_capacity((32, 32))
         # 32 -> 16 -> 8 (min_level=8 stops further coarsening)
-        assert metrics.counter("solver/nn_pcg/plan_builds") == 3
+        assert metrics.timers["solver/nn_pcg/plan_build"].count == 3
 
         solid = plume_solid(32, 0)
         solver.solve(compatible_rhs(solid, 1), solid)
-        assert metrics.counter("solver/nn_pcg/plan_builds") == 3  # all pre-warmed
+        assert metrics.timers["solver/nn_pcg/plan_build"].count == 3  # all pre-warmed
 
     def test_reset_drops_plans(self, net):
         metrics = MetricsRegistry()
         solver = NNPCGSolver(net, metrics=metrics)
         solver.ensure_capacity((16, 16))
-        built = metrics.counter("solver/nn_pcg/plan_builds")
+        built = metrics.timers["solver/nn_pcg/plan_build"].count
         solver.reset()
         solver.ensure_capacity((16, 16))
-        assert metrics.counter("solver/nn_pcg/plan_builds") == 2 * built
+        assert metrics.timers["solver/nn_pcg/plan_build"].count == 2 * built
 
 
 class TestValidationAndAccounting:
@@ -257,7 +257,7 @@ class TestValidationAndAccounting:
         b = compatible_rhs(solid, 16)
         metrics = MetricsRegistry()
         res = NNPCGSolver(net, metrics=metrics).solve(b, solid)
-        assert metrics.counter("solver/nn_pcg/solves") == 1
+        assert metrics.timers["solver/nn_pcg/solve"].count == 1
         assert metrics.counter("solver/nn_pcg/iterations") == res.iterations
 
     def test_resource_usage_positive(self, net):

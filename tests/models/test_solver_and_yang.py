@@ -143,7 +143,7 @@ class TestPrecision:
         solver = NNProjectionSolver(tompson_arch(4).build(rng=0), metrics=m)
         for seed in range(3):
             solver.solve(compatible_rhs(g.solid, seed), g.solid)
-        assert m.counter("solver/nn/plan_builds") == 1
+        assert m.timers["solver/nn/plan_build"].count == 1
         assert solver._plan.workspace_reuses == 3 * solver.passes
 
     def test_unplannable_model_falls_back_to_legacy_forward(self):
@@ -170,7 +170,7 @@ class TestPrecision:
         solver.solve_many(
             [compatible_rhs(g.solid, s) for s in range(2)], [g.solid] * 2
         )
-        assert m.counter("solver/nn/plan_builds") == 1
+        assert m.timers["solver/nn/plan_build"].count == 1
 
 
 class TestYangModel:

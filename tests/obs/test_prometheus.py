@@ -90,13 +90,27 @@ class TestRenderFlatRegistry:
     def test_flat_counters_and_timers(self):
         reg = MetricsRegistry()
         reg.inc("sim/steps", 5)
-        with reg.timer("pcg/solve"):
+        with reg.measure("pcg/solve"):
             pass
+        for v in (0.001, 0.002, 0.5):
+            reg.observe("pcg/solve", v)
         text = render_prometheus(None, reg)
         assert "# TYPE repro_sim_steps_total counter" in text
         assert "repro_sim_steps_total 5" in text
-        assert "# TYPE repro_pcg_solve_seconds summary" in text
-        assert "repro_pcg_solve_seconds_count 1" in text
+        # flat timers are histograms, written like the families' series
+        assert "# TYPE repro_pcg_solve_seconds histogram" in text
+        buckets = [
+            line for line in text.splitlines()
+            if line.startswith("repro_pcg_solve_seconds_bucket")
+        ]
+        counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
+        assert counts == sorted(counts) and counts[-1] == 4
+        assert buckets[-1].startswith('repro_pcg_solve_seconds_bucket{le="+Inf"}')
+        assert "repro_pcg_solve_seconds_count 4" in text
+        assert "repro_pcg_solve_seconds_sum " in text
+        openmetrics = render_prometheus(None, reg, openmetrics=True)
+        assert "# TYPE repro_pcg_solve_seconds histogram" in openmetrics
+        assert openmetrics.endswith("# EOF\n")
 
     def test_empty_render_is_empty_string(self):
         assert render_prometheus(None, None) == ""

@@ -44,7 +44,7 @@ class TestServiceEndToEnd:
         Every submission must either complete or be rejected with a *typed*
         quota error — nothing hangs, nothing fails untyped — and resubmitting
         an already-computed spec must be answered from the cache without
-        re-simulating (asserted via the ``sim/steps`` solve counter).
+        re-simulating (asserted via the ``sim/step`` timer count).
         """
         service = make_service(
             tmp_path,
@@ -81,14 +81,14 @@ class TestServiceEndToEnd:
 
             # resubmit one finished spec verbatim (fresh job id): cache hit,
             # and the solve counter proves nothing was re-simulated
-            steps_before = service.metrics.counter("sim/steps")
+            steps_before = service.metrics.timers["sim/step"].count
             summary = service.submit(
                 spec("resubmit", seed=0, scenario="smoke_plume"), tenant="tenant-9"
             )
             result = await service.result("resubmit", timeout=30.0)
             assert summary["cached"] and summary["status"] == "completed"
             assert result.cached and result.ok
-            assert service.metrics.counter("sim/steps") == steps_before
+            assert service.metrics.timers["sim/step"].count == steps_before
             assert await service.stop(drain=True, timeout=120.0)
 
         asyncio.run(run())

@@ -59,7 +59,7 @@ class TestRunBench:
     def test_simulation_benchmark_carries_metrics(self, ci_report):
         sim = next(b for b in ci_report["benchmarks"] if b["name"] == "simulation_step")
         steps = SCALES["ci"].sim_steps
-        assert sim["metrics"]["counters"]["sim/steps"] == steps
+        assert sim["metrics"]["timers"]["sim/step"]["count"] == steps
         assert sim["metrics"]["timers"]["sim/step"]["count"] == steps
 
     def test_nn_inference_plans_vs_legacy(self, ci_report):
@@ -174,9 +174,21 @@ class TestRunBench:
 
 
 class TestBenchCLI:
-    def test_bench_subcommand_writes_json(self, tmp_path, capsys):
+    def test_bench_subcommand_writes_json(self, tmp_path, capsys, monkeypatch, ci_report):
+        # the CLI wiring and the file it writes, over the module's ci run
+        import repro.benchmark
+
+        calls = []
+
+        def fake_run_bench(**kwargs):
+            calls.append(kwargs)
+            return ci_report
+
+        monkeypatch.setattr(repro.benchmark, "run_bench", fake_run_bench)
         out = tmp_path / "BENCH_ci.json"
         assert main(["bench", "--scale", "ci", "--output", str(out)]) == 0
+        assert calls == [{"scale": "ci", "seed": 0, "scenario": None}]
         report = json.loads(out.read_text())
+        assert report == json.loads(json.dumps(ci_report))
         assert {b["name"] for b in report["benchmarks"]} == EXPECTED_BENCHMARKS
         assert "speedup" in capsys.readouterr().out

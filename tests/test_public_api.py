@@ -71,23 +71,6 @@ def test_facade_exports_scenario_registry():
     assert spec == repro.ScenarioSpec("dam_break", grid=16)
 
 
-def test_make_smoke_plume_keyword_sprawl_deprecated():
-    from repro.fluid import make_smoke_plume
-
-    # plain positional/rng use stays silent; the sprawl keywords warn
-    make_smoke_plume(16, 16, rng=0)
-    with pytest.warns(DeprecationWarning, match="build_scenario"):
-        make_smoke_plume(16, 16, rng=0, with_obstacles=False)
-
-
-def test_deprecation_shim_resolves_moved_names():
-    import repro
-    from repro.fluid import MIC0Preconditioner
-
-    with pytest.warns(DeprecationWarning, match="repro.fluid.MIC0Preconditioner"):
-        assert repro.MIC0Preconditioner is MIC0Preconditioner
-
-
 def test_unknown_root_attribute_raises():
     import repro
 

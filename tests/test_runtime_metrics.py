@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from repro.metrics import (
     NULL_METRICS,
     MetricsRegistry,
-    TimerStat,
     get_metrics,
     reset_metrics,
     set_metrics,
 )
+from repro.trace import HistogramStat, Tracer, set_tracer
 
 
 class TestCountersAndTimers:
@@ -31,12 +31,46 @@ class TestCountersAndTimers:
     def test_timer_records_statistics(self):
         m = MetricsRegistry()
         for _ in range(3):
-            with m.timer("work"):
+            with m.measure("work"):
                 pass
         stat = m.timers["work"]
         assert stat.count == 3
         assert stat.total >= stat.max >= stat.min >= 0.0
         assert stat.mean == pytest.approx(stat.total / 3)
+        assert stat.min <= stat.quantile(0.5) <= stat.quantile(0.99) <= stat.max
+        snap = m.to_dict()["timers"]["work"]
+        assert snap["p50"] == stat.quantile(0.5) and snap["p99"] == stat.quantile(0.99)
+
+    def test_measure_writes_timer_and_span_once(self):
+        m = MetricsRegistry()
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            with m.scope("sim"), m.measure("solve", backend="kernel") as sp:
+                sp.attrs["iterations"] = 7
+            with m.measure("other"):
+                pass
+        finally:
+            set_tracer(previous)
+        with m.measure("tracing_off") as none:
+            assert none is None
+        spans = {s.name: s for s in tracer.spans()}
+        assert set(spans) == {"solve", "other"}
+        assert spans["solve"].attrs == {"backend": "kernel", "iterations": 7}
+        # one clock reading feeds both: the span's duration is the timer's
+        assert m.timers["sim/solve"].total == spans["solve"].dur
+        assert m.timers["tracing_off"].count == 1
+
+    def test_disabled_registry_still_traces(self):
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            with NULL_METRICS.measure("solve") as sp:
+                assert sp is not None
+        finally:
+            set_tracer(previous)
+        assert [s.name for s in tracer.spans()] == ["solve"]
+        assert NULL_METRICS.timers == {}
 
     def test_observe_records_explicit_durations(self):
         m = MetricsRegistry()
@@ -117,7 +151,7 @@ class TestScopes:
 class TestJSONRoundTrip:
     def test_round_trip_preserves_snapshot(self):
         m = MetricsRegistry()
-        m.inc("solver/pcg/solves", 4)
+        m.inc("solver/pcg/iterations", 40)
         m.observe("solver/pcg/solve", 0.125)
         m.observe("solver/pcg/solve", 0.5)
         with m.scope("sim"):
@@ -131,8 +165,15 @@ class TestJSONRoundTrip:
         assert MetricsRegistry.from_dict(json.loads(m.to_json())).to_dict() == m.to_dict()
 
     def test_timer_stat_round_trip_empty_min(self):
-        stat = TimerStat()
-        assert TimerStat.from_dict(stat.to_dict()).to_dict() == stat.to_dict()
+        stat = HistogramStat()
+        assert HistogramStat.from_dict(stat.to_dict()).to_dict() == stat.to_dict()
+
+    def test_historical_timer_snapshot_loads(self):
+        """Snapshots written before timers carried buckets still restore."""
+        old = {"count": 2, "total": 0.75, "min": 0.25, "max": 0.5, "mean": 0.375}
+        m = MetricsRegistry.from_dict({"counters": {}, "timers": {"t": old}})
+        stat = m.timers["t"]
+        assert (stat.count, stat.total, stat.min, stat.max) == (2, 0.75, 0.25, 0.5)
 
 
 class TestMerge:
@@ -179,7 +220,7 @@ class TestMerge:
 
     def test_merge_with_empty_timer_keeps_min_empty_semantics(self):
         a = MetricsRegistry()
-        a.timers["t"] = TimerStat()
+        a.timers["t"] = HistogramStat()
         b = MetricsRegistry()
         b.observe("t", 0.5)
         a.merge(b)
@@ -193,27 +234,28 @@ _durations = st.lists(
 )
 
 
-def _stat(values) -> TimerStat:
-    stat = TimerStat()
+def _stat(values) -> HistogramStat:
+    stat = HistogramStat()
     for v in values:
         stat.add(v)
     return stat
 
 
 class TestTimerStatProperties:
-    """Empty stats are normal forms: round-trip and merge stay exact.
+    """A registry timer's stat (a ``HistogramStat``) has exact normal forms.
 
-    Regression (PR5): an empty ``TimerStat`` used to serialise ``max=0.0``,
-    so a restored empty stat was *not* a merge identity — merging it into
-    real data could pull ``max`` down to 0.  Both bounds now serialise as
-    null and ``from_dict`` normalises any ``count=0`` snapshot.
+    Empty stats round-trip and merge exactly.  Regression (PR5): an empty
+    timer stat used to serialise ``max=0.0``, so a restored empty stat was
+    *not* a merge identity — merging it into real data could pull ``max``
+    down to 0.  Both bounds now serialise as null and ``from_dict``
+    normalises any ``count=0`` snapshot.
     """
 
     @given(_durations)
     @settings(max_examples=50, deadline=None)
     def test_round_trip_is_exact_including_empty(self, values):
         stat = _stat(values)
-        restored = TimerStat.from_dict(json.loads(json.dumps(stat.to_dict())))
+        restored = HistogramStat.from_dict(json.loads(json.dumps(stat.to_dict())))
         assert restored == stat
         assert restored.to_dict() == stat.to_dict()
 
@@ -226,7 +268,7 @@ class TestTimerStatProperties:
         assert direct.to_dict() == swapped.to_dict()
         # merging a *restored* stat behaves exactly like merging the original
         via_snapshot = _stat(xs)
-        via_snapshot.merge(TimerStat.from_dict(_stat(ys).to_dict()))
+        via_snapshot.merge(HistogramStat.from_dict(_stat(ys).to_dict()))
         assert via_snapshot.to_dict() == direct.to_dict()
 
     @given(_durations)
@@ -234,7 +276,7 @@ class TestTimerStatProperties:
     def test_restored_empty_stat_is_a_merge_identity(self, values):
         stat = _stat(values)
         before = stat.to_dict()
-        stat.merge(TimerStat.from_dict(TimerStat().to_dict()))
+        stat.merge(HistogramStat.from_dict(HistogramStat().to_dict()))
         assert stat.to_dict() == before
 
 
@@ -271,7 +313,7 @@ class TestDisabledAndGlobal:
     def test_null_metrics_is_noop(self):
         before = (dict(NULL_METRICS.counters), dict(NULL_METRICS.timers))
         NULL_METRICS.inc("x")
-        with NULL_METRICS.timer("t"):
+        with NULL_METRICS.measure("t"):
             pass
         with NULL_METRICS.scope("s"):
             NULL_METRICS.inc("y")
@@ -308,11 +350,10 @@ class TestInstrumentedComponents:
             grid, PCGSolver(metrics=metrics), source, metrics=metrics
         )
         sim.run(2)
-        assert metrics.counter("sim/steps") == 2
-        assert metrics.counter("sim/projection/solves") == 2
         assert metrics.timers["sim/step"].count == 2
+        assert metrics.timers["sim/projection/solve"].count == 2
         # solver reporting lands under the sim scope (shared registry)
-        assert metrics.counter("sim/solver/pcg/solves") == 2
+        assert metrics.timers["sim/solver/pcg/solve"].count == 2
         assert metrics.counter("sim/cache/mic0/miss") == 1
         assert metrics.counter("sim/cache/mic0/hit") == 1
 

@@ -69,15 +69,14 @@ class TestSpans:
         for _ in range(3):
             with tr.span("step"):
                 pass
-        assert tr.histograms["step"].count == 3
+        assert summarize(tr)["step"]["count"] == 3
 
     def test_disabled_tracer_yields_none_and_records_nothing(self):
         tr = Tracer(enabled=False)
         with tr.span("x") as sp:
             assert sp is None
         tr.event("step", step=1)
-        tr.observe("h", 1.0)
-        assert tr.spans() == [] and tr.events() == [] and tr.histograms == {}
+        assert tr.spans() == [] and tr.events() == [] and summarize(tr) == {}
 
     def test_concurrent_threads_do_not_interleave_stacks(self):
         tr = Tracer()
@@ -224,7 +223,7 @@ class TestSerialisation:
         a, b = _sample_tracer(), _sample_tracer()
         merged = Tracer().merge(a.to_dict()).merge(b.to_dict())
         assert len(merged.spans()) == len(a.spans()) + len(b.spans())
-        assert merged.histograms["step"].count == 4
+        assert summarize(merged)["step"]["count"] == 4
         assert Tracer().merge({}).to_dict()["spans"] == []
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -264,7 +263,54 @@ class TestSerialisation:
         restored = read_trace(path)
         assert len(restored.spans()) == len(tr.spans())
         assert len(restored.events("divnorm")) == 2
-        assert restored.histograms["projection"].count == 2
+        assert summarize(restored)["projection"]["count"] == 2
+
+
+def _historical_snapshot() -> dict:
+    """A snapshot in the format written before summaries were derived from
+    spans: it carries a ``histograms`` section, here deliberately at odds
+    with the spans so a reader that trusted it would be caught."""
+    def span(i, name, dur):
+        return {"name": name, "span_id": f"1:1:{i}", "parent_id": None,
+                "t": 100.0 + i, "dur": dur, "attrs": {}, "pid": 1, "tid": 1}
+
+    stale = {"count": 99, "total": 9.0, "min": 0.1, "max": 0.1, "buckets": {"10": 99}}
+    return {
+        "schema": "repro-trace/v1",
+        "spans": [span(1, "step", 0.25), span(2, "step", 0.5), span(3, "projection", 0.125)],
+        "events": [{"type": "divnorm", "step": 0, "t": 100.0, "attrs": {"value": 0.5}}],
+        "histograms": {"step": stale, "projection": stale},
+    }
+
+
+class TestHistoricalTraceFiles:
+    def test_histograms_section_is_ignored(self):
+        rows = summarize(Tracer.from_dict(_historical_snapshot()))
+        assert (rows["step"]["count"], rows["step"]["total"]) == (2, 0.75)
+        assert (rows["projection"]["count"], rows["projection"]["total"]) == (1, 0.125)
+        assert "histograms" not in Tracer.from_dict(_historical_snapshot()).to_dict()
+
+    @pytest.mark.parametrize("fmt", ["chrome", "jsonl"])
+    def test_cli_summary_reports_span_counts_and_totals(self, tmp_path, capsys, fmt):
+        from repro.cli import main
+
+        snap = _historical_snapshot()
+        if fmt == "chrome":
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps({"traceEvents": [], "repro": snap}))
+        else:
+            path = tmp_path / "old.jsonl"
+            lines = [{"kind": "meta", "schema": snap["schema"]}]
+            lines += [{"kind": "span", **s} for s in snap["spans"]]
+            lines += [{"kind": "event", **e} for e in snap["events"]]
+            lines += [{"kind": "histogram", "name": k, **v}
+                      for k, v in snap["histograms"].items()]
+            path.write_text("\n".join(json.dumps(r) for r in lines) + "\n")
+        assert main(["trace", str(path), "--summary"]) == 0
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0] in ("step", "projection")}
+        assert rows["step"][1:3] == ["2", "750.00ms"]
+        assert rows["projection"][1:3] == ["1", "125.00ms"]
 
 
 # ----------------------------------------------------------------------

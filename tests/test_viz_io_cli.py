@@ -156,7 +156,7 @@ class TestCLI:
         assert payload["config"]["solver"] == "pcg"
         assert len(payload["steps"]) == 2
         assert payload["steps"][0]["converged"]
-        assert payload["metrics"]["counters"]["sim/steps"] == 2
+        assert payload["metrics"]["timers"]["sim/step"]["count"] == 2
         assert "sim/step" in payload["metrics"]["timers"]
 
     def test_simulate_warm_start_and_jacobi_backend(self, capsys):
@@ -242,4 +242,4 @@ class TestCLI:
         assert payload["restarted"] is False
         assert sum(payload["steps_per_model"].values()) == 8
         assert len(payload["steps"]) == 8
-        assert payload["metrics"]["counters"]["sim/steps"] == 8
+        assert payload["metrics"]["timers"]["sim/step"]["count"] == 8
