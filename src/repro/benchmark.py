@@ -60,19 +60,6 @@ Benchmarks
     jets, moving solids, Kármán street, free-surface liquids).  A liveness
     gate: any crash fails the suite; per-scenario seconds and final
     DivNorm are recorded.
-``nn_pcg``
-    The NN-preconditioned flexible CG solver vs. plain MIC(0)-PCG on the
-    fallback-prone scenarios (obstacle wakes, jets, colliding plumes) at a
-    pinned 128x128: for each scenario a short exact simulation is run to a
-    developed flow state, the captured Poisson problem is solved by both
-    solvers to the same tolerance, and the headline ``iteration_ratio``
-    (PCG iterations / NN-PCG iterations) is gated in CI — at least two
-    scenarios must stay at 2x or better.  Wall time is reported but not
-    gated: at CPU scale the per-iteration network V-cycle costs more than
-    the iterations it saves (see DESIGN.md), so the iteration ratio is the
-    architecture-independent signal.  Uses the committed pinned weights at
-    ``results/models/nn_pcg_bench`` (output of
-    :func:`repro.models.train_nn_pcg_model` at its defaults).
 ``service_throughput``
     The :mod:`repro.serve` tier end to end: a pinned 6-job fleet submitted
     cold (every job simulated on the autoscaled pool) vs. resubmitted warm
@@ -104,12 +91,6 @@ __all__ = ["BenchScale", "SCALES", "run_bench", "write_bench"]
 SCHEMA = "repro-bench/v1"
 #: tag of the BENCH_<tag>.json this PR emits
 DEFAULT_TAG = "pr10"
-
-#: committed weights behind the ``nn_pcg`` benchmark (repo-relative)
-PINNED_NN_PCG_MODEL = Path(__file__).resolve().parents[2] / "results" / "models" / "nn_pcg_bench"
-
-#: scenarios whose developed flows are fallback-prone (obstacles, jets)
-NN_PCG_SCENARIOS = ("karman_street", "moving_cylinder", "inflow_jet", "plume_collision")
 
 
 @dataclass(frozen=True)
@@ -605,104 +586,6 @@ def _bench_scenario_sweep(scale: BenchScale, seed: int = 0, scenario: str | None
     }
 
 
-def _bench_nn_pcg(
-    scale: BenchScale, seed: int = 0, grid: int = 128, steps: int = 6, tol: float = 1e-5
-) -> dict:
-    """NN-preconditioned CG vs. plain MIC(0)-PCG on fallback-prone flows.
-
-    The workload is *pinned* at 128x128 (like ``perf_kernels``): each
-    scenario in :data:`NN_PCG_SCENARIOS` is simulated for ``steps`` exact
-    steps so the flow develops its obstacle wake / jet shear, the last
-    pressure Poisson problem is captured, and both solvers solve it to the
-    same relative tolerance.  ``iteration_ratio`` is the headline number
-    (deterministic, hardware-independent); wall seconds are recorded for
-    the honest cost picture but not gated — the per-iteration network
-    V-cycle dominates at CPU scale.
-
-    Uses the committed ``results/models/nn_pcg_bench`` weights; if the
-    checkout lacks them (``pinned_weights`` false in the report) an
-    untrained network stands in, which exercises the safeguard path only.
-    """
-    from repro.fluid import (
-        FluidSimulator,
-        NNPCGSolver,
-        PCGSolver,
-        SimulationConfig,
-        build_scenario,
-        parse_scenario,
-    )
-    from repro.metrics import NULL_METRICS
-    from repro.models import tompson_arch
-
-    reps = max(2, scale.solve_reps)
-    pinned = PINNED_NN_PCG_MODEL.is_dir()
-    if pinned:
-        from repro.io import load_model
-
-        net = load_model(PINNED_NN_PCG_MODEL).network
-    else:
-        net = tompson_arch(8).build(rng=seed)
-
-    class _Capture:
-        def __init__(self, inner):
-            self.inner = inner
-            self.samples = []
-            self.name = inner.name
-
-        def solve(self, b, solid):
-            self.samples.append((b.copy(), solid.copy()))
-            return self.inner.solve(b, solid)
-
-        def reset(self):
-            self.inner.reset()
-
-    runs = []
-    for name in NN_PCG_SCENARIOS:
-        sspec = parse_scenario(name).with_defaults(grid=grid)
-        g, driver = build_scenario(sspec, rng=seed)
-        cap = _Capture(PCGSolver(tol=tol, metrics=NULL_METRICS))
-        overrides = getattr(driver, "config_overrides", {})
-        config = SimulationConfig(**overrides) if overrides else None
-        FluidSimulator(
-            g, driver.wrap_solver(cap), driver, config=config, metrics=NULL_METRICS
-        ).run(steps)
-        b, solid = cap.samples[-1]
-
-        pcg = PCGSolver(tol=tol, metrics=NULL_METRICS)
-        pres = pcg.solve(b, solid)  # prime the geometry caches
-        pcg_seconds = min(_time(lambda: pcg.solve(b, solid)) for _ in range(reps))
-
-        nn = NNPCGSolver(net, tol=tol, metrics=NULL_METRICS)
-        nres = nn.solve(b, solid)  # prime caches + compile the plans
-        nn_seconds = min(_time(lambda: nn.solve(b, solid)) for _ in range(reps))
-
-        runs.append(
-            {
-                "scenario": name,
-                "pcg_iterations": pres.iterations,
-                "nn_iterations": nres.iterations,
-                "iteration_ratio": (
-                    pres.iterations / nres.iterations
-                    if nres.iterations
-                    else float("inf")
-                ),
-                "pcg_seconds": pcg_seconds,
-                "nn_seconds": nn_seconds,
-                "both_converged": bool(pres.converged and nres.converged),
-            }
-        )
-    ratios = sorted((r["iteration_ratio"] for r in runs), reverse=True)
-    return {
-        "name": "nn_pcg",
-        "params": {"grid": grid, "steps": steps, "reps": reps, "seed": seed, "tol": tol},
-        "pinned_weights": pinned,
-        "scenarios": runs,
-        "best_iteration_ratio": ratios[0],
-        "second_best_iteration_ratio": ratios[1],
-        "all_converged": all(r["both_converged"] for r in runs),
-    }
-
-
 def _bench_service_throughput(
     scale: BenchScale, seed: int = 0, grid: int = 32, steps: int = 4, n_jobs: int = 6
 ) -> dict:
@@ -805,7 +688,6 @@ def run_bench(scale: str = "default", seed: int = 0, scenario: str | None = None
         _bench_tracing_overhead(s, seed),
         _bench_metrics_overhead(s, seed),
         _bench_scenario_sweep(s, seed, scenario),
-        _bench_nn_pcg(s, seed),
         _bench_service_throughput(s, seed),
     ]
     return {

@@ -38,6 +38,8 @@ import json
 import sys
 import time
 
+from repro.farm.jobs import SOLVER_CHOICES
+
 __all__ = ["main", "build_parser"]
 
 _EXPERIMENTS = {
@@ -92,19 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--solver",
-        choices=["pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg"],
+        choices=SOLVER_CHOICES,
         default="pcg",
     )
     sim.add_argument(
         "--precision", choices=["fp32", "fp64"], default="fp64",
-        help="NN inference precision (nn/nn-pcg solvers only): fp32 compiles "
+        help="NN inference precision (nn solver only): fp32 compiles "
         "the fast single-precision plan, fp64 stays bitwise-identical to the "
         "legacy forward",
     )
     sim.add_argument(
         "--model", type=str, default=None, metavar="DIR",
         help="trained-model directory (repro.io.save_model layout) for the "
-        "nn/nn-pcg solvers; default: seeded untrained Tompson network",
+        "nn solver; default: seeded untrained Tompson network",
     )
     sim.add_argument(
         "--backend", choices=["kernel", "reference"], default="kernel",
@@ -175,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=8, help="number of jobs in the fleet")
         p.add_argument(
             "--solver",
-            choices=["pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg"],
+            choices=SOLVER_CHOICES,
             default="pcg", help="pressure solver every job requests",
         )
         p.add_argument(
             "--model", type=str, default=None, metavar="DIR",
-            help="trained-model directory for nn/nn-pcg jobs "
+            help="trained-model directory for nn jobs "
             "(default: seeded untrained Tompson network)",
         )
         p.add_argument(
@@ -292,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sbm.add_argument(
         "--solver",
-        choices=["pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg"],
+        choices=SOLVER_CHOICES,
         default="pcg",
     )
     sbm.add_argument(
         "--model", type=str, default=None, metavar="DIR",
-        help="trained-model directory for nn/nn-pcg jobs",
+        help="trained-model directory for nn jobs",
     )
     sbm.add_argument("--job-id", type=str, default=None, help="job id (default: generated)")
     sbm.add_argument("--tenant", type=str, default="default", help="tenant the job bills to")
@@ -406,26 +408,20 @@ def _cmd_simulate(args) -> int:
 
     metrics = MetricsRegistry()
 
-    def network():
-        if args.model is not None:
-            from repro.io import load_model
-
-            return load_model(args.model).network
-        from repro.models import tompson_arch
-
-        return tompson_arch(4).build(rng=args.seed)
-
     def nn_solver():
         from repro.models import NNProjectionSolver
 
+        if args.model is not None:
+            from repro.io import load_model
+
+            network = load_model(args.model).network
+        else:
+            from repro.models import tompson_arch
+
+            network = tompson_arch(4).build(rng=args.seed)
         return NNProjectionSolver(
-            network(), passes=2, metrics=metrics, precision=args.precision
+            network, passes=2, metrics=metrics, precision=args.precision
         )
-
-    def nn_pcg_solver():
-        from repro.fluid import NNPCGSolver
-
-        return NNPCGSolver(network(), metrics=metrics, precision=args.precision)
 
     solver = {
         "pcg": lambda: PCGSolver(
@@ -442,7 +438,6 @@ def _cmd_simulate(args) -> int:
             fallback=PCGSolver(metrics=metrics, backend=args.backend),
         ),
         "nn": nn_solver,
-        "nn-pcg": nn_pcg_solver,
     }[args.solver]()
     sspec = parse_scenario(args.scenario).with_defaults(grid=args.grid)
     grid, driver = build_scenario(sspec, rng=args.seed)
@@ -641,11 +636,7 @@ def _build_farm_specs(args) -> list:
         solver_params["backend"] = args.solver_backend
     if args.solver == "nn" and args.precision != "fp64":
         solver_params["precision"] = args.precision
-    elif args.solver == "nn-pcg":
-        # the flag's fp64 default means "bitwise replay" here too, overriding
-        # the solver's own fp32 fast-path default
-        solver_params["precision"] = args.precision
-    model_dir = args.model if args.solver in ("nn", "nn-pcg") else None
+    model_dir = args.model if args.solver == "nn" else None
     return [
         JobSpec(
             job_id=f"job-{i:03d}",
@@ -845,7 +836,7 @@ def _cmd_submit(args) -> int:
         scenario=sspec.to_string(),
         steps=args.steps,
         solver=args.solver,
-        model_dir=args.model if args.solver in ("nn", "nn-pcg") else None,
+        model_dir=args.model if args.solver == "nn" else None,
     )
 
     async def run() -> int:

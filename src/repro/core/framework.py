@@ -327,32 +327,18 @@ class SmartFluidnet:
         check_interval: int | None = None,
         models_override: list[SelectedModel] | None = None,
         knn_override: QlossKNNPredictor | None = None,
-        nn_precond: bool = False,
     ) -> AdaptiveRunResult:
         """Simulate one input problem with adaptive model switching.
 
         If the controller predicts the requirement cannot be met by any
         model, the run restarts with the exact PCG method; the wasted time
-        is charged to the total, as Eq. 8 assumes.  With
-        ``nn_precond=True`` the controller instead escalates *in place* to
-        the exact NN-preconditioned CG solver
-        (:class:`repro.fluid.NNPCGSolver` built from the most accurate
-        runtime model's network) — no trajectory is discarded and no
-        restart cost is paid.  ``check_interval``, ``models_override`` and
-        ``knn_override`` support the paper's sensitivity and ablation
-        studies (Figures 12-13).
+        is charged to the total, as Eq. 8 assumes.  ``check_interval``,
+        ``models_override`` and ``knn_override`` support the paper's
+        sensitivity and ablation studies (Figures 12-13).
         """
         cfg = self.config
         steps = n_steps or cfg.eval_steps
         models = models_override or self.runtime_models
-        nn_pcg = None
-        if nn_precond:
-            from repro.fluid import NNPCGSolver
-
-            # the most accurate candidate's network proposes the directions;
-            # CG's exact line search makes the rung exact regardless
-            most_accurate = max(models, key=lambda s: s.model_seconds)
-            nn_pcg = NNPCGSolver(most_accurate.model.network)
         controller = AdaptiveController(
             models,
             knn_override or self.knn,
@@ -363,7 +349,6 @@ class SmartFluidnet:
             passes=cfg.solver_passes,
             use_mlp_start=use_mlp_start,
             upgrade_only=upgrade_only,
-            nn_pcg=nn_pcg,
         )
         grid, source = problem.materialize()
         sim = FluidSimulator(grid, controller.initial_solver(), source, cfg.simulation, controller)

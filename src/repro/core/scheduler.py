@@ -9,16 +9,8 @@ hook.  Every check interval it:
    model's KNN database,
 3. compares ``Q'`` to the requirement ``q``: within tolerance -> keep the
    model; comfortably better -> switch one step *faster*; worse -> switch
-   one step *more accurate*; no more accurate model left -> escalate to
-   the exact NN-preconditioned CG solver when one was provided
-   (``nn_pcg=...``, trace event ``nn_precond``), else request a restart
-   with the exact PCG method (trace event ``pcg_fallback``).
-
-The ``nn_pcg`` rung dominates the restart corner of the trade-off: instead
-of abandoning the trajectory and re-simulating every step with MIC(0)-PCG,
-the run continues in place under an *exact* solver that still spends its
-iterations on NN inference — the paper's Algorithm 2 with the DCDM-style
-middle ground between "trust the network" and "pay full PCG".
+   one step *more accurate*; no more accurate model left -> request a
+   restart with the exact PCG method (trace event ``pcg_fallback``).
 
 Candidates are ordered along the Pareto front (ascending solver time =
 ascending accuracy).  The starting model is the one the MLP scored highest
@@ -63,9 +55,6 @@ class AdaptiveStats:
     switches: list[SwitchEvent] = field(default_factory=list)
     predictions: list[tuple[int, float]] = field(default_factory=list)
     restart_requested: bool = False
-    #: step at which the run escalated to the NN-preconditioned exact
-    #: solver instead of restarting (``None`` when it never did)
-    nn_precond_step: int | None = None
 
     def time_share(self) -> dict[str, float]:
         """Fraction of solver time spent in each model."""
@@ -91,7 +80,6 @@ class AdaptiveController:
         passes: int = 2,
         use_mlp_start: bool = True,
         upgrade_only: bool = False,
-        nn_pcg=None,
         metrics: MetricsRegistry | None = None,
         scenario: str = "smoke_plume",
     ):
@@ -110,17 +98,11 @@ class AdaptiveController:
         self.downshift_margin = downshift_margin
         self.passes = passes
         self.upgrade_only = upgrade_only
-        #: optional exact escalation rung (an NN-preconditioned CG
-        #: :class:`~repro.fluid.solver_api.PressureSolver`); when set, a
-        #: predicted requirement violation with no more accurate candidate
-        #: switches to it in place instead of raising RestartRequested
-        self.nn_pcg = nn_pcg
         self._metrics = metrics
         #: scenario label on the controller's decision counters (registry
         #: name only — parameters would blow label cardinality)
         self.scenario = scenario.split(":", 1)[0] if scenario else "smoke_plume"
         self._satisfied = False
-        self._escalated = False
 
         if use_mlp_start:
             # highest success probability; on ties prefer the more accurate
@@ -146,7 +128,7 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     def __call__(self, sim: FluidSimulator, record: StepRecord) -> None:
         """Per-step hook: account usage, and decide at interval boundaries."""
-        name = self.nn_pcg.name if self._escalated else self.current.name
+        name = self.current.name
         self.stats.steps_per_model[name] = self.stats.steps_per_model.get(name, 0) + 1
         self.stats.solve_seconds_per_model[name] = (
             self.stats.solve_seconds_per_model.get(name, 0.0) + record.projection.solve_seconds
@@ -154,10 +136,6 @@ class AdaptiveController:
         self._cumdivnorm.append(
             (self._cumdivnorm[-1] if self._cumdivnorm else 0.0) + record.divnorm
         )
-        if self._escalated:
-            # the exact rung satisfies any DivNorm requirement by
-            # construction; no further prediction or switching is useful
-            return
 
         step = record.step
         if step + 1 <= self.skip_first:
@@ -228,36 +206,9 @@ class AdaptiveController:
             if self._idx > 0 and q_pred < headroom:
                 self._switch(sim, step, self._idx - 1, q_pred)
             return
-        # predicted violation: go more accurate, escalate, or give up
+        # predicted violation: go more accurate, or give up
         if self._idx + 1 < len(self.ladder):
             self._switch(sim, step, self._idx + 1, q_pred)
-            return
-        if self.nn_pcg is not None:
-            # third outcome: continue the trajectory in place under the
-            # exact NN-preconditioned CG solver instead of restarting
-            self._escalated = True
-            old = self.current.name
-            sim.solver = self.nn_pcg
-            self.stats.nn_precond_step = step
-            self.stats.switches.append(
-                SwitchEvent(
-                    step=step,
-                    from_model=old,
-                    to_model=self.nn_pcg.name,
-                    predicted_qloss=q_pred,
-                )
-            )
-            self._event_counter().inc(
-                event="nn_precond", solver=self.nn_pcg.name, scenario=self.scenario
-            )
-            get_tracer().event(
-                "nn_precond",
-                step=step,
-                from_model=old,
-                reason="qloss_requirement",
-                predicted_qloss=q_pred,
-                q_requirement=self.q,
-            )
             return
         self.stats.restart_requested = True
         self._event_counter().inc(

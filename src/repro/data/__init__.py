@@ -1,7 +1,7 @@
 """Datasets: input problems and training-frame collection."""
 
 from .problems import EVAL_SEED_BASE, TRAIN_SEED_BASE, InputProblem, generate_problems
-from .dataset import RecordingSolver, collect_residual_frames, collect_training_frames
+from .dataset import RecordingSolver, collect_training_frames
 
 __all__ = [
     "InputProblem",
@@ -10,5 +10,4 @@ __all__ = [
     "EVAL_SEED_BASE",
     "RecordingSolver",
     "collect_training_frames",
-    "collect_residual_frames",
 ]

@@ -23,7 +23,7 @@ from repro.fluid import (
 from repro.fluid.pcg import SolveResult
 from .problems import InputProblem
 
-__all__ = ["RecordingSolver", "collect_training_frames", "collect_residual_frames"]
+__all__ = ["RecordingSolver", "collect_training_frames"]
 
 
 @dataclass
@@ -98,87 +98,4 @@ def collect_training_frames(
         "y": np.stack(ys),
         "solid": np.stack(solids),
         "weights": np.stack(weights),
-    }
-
-
-def collect_residual_frames(
-    problems: list[InputProblem],
-    n_steps: int = 8,
-    stride: int = 2,
-    residual_stride: int = 5,
-    tol: float = 1e-8,
-    max_iterations: int = 120,
-    max_problems: int = 24,
-    config: SimulationConfig | None = None,
-    data: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Harvest normalised *CG residuals* for NN-preconditioned-CG training.
-
-    A network trained only on Poisson right-hand sides never sees the
-    inputs it gets inside flexible CG: after the first iteration the
-    residual's spectrum differs sharply from any rhs (smooth components
-    shrink first under MIC(0), high-frequency ones under NN directions).
-    This closes that distribution gap the same way rollout augmentation
-    closes the simulator's: replay recorded Poisson problems through plain
-    MIC(0)-PCG and capture every ``residual_stride``-th intermediate
-    residual ``r_k`` (skipping ``k=0``, which *is* the rhs), normalised by
-    its own standard deviation — exactly the solver's inference-time
-    normalisation.
-
-    Returns the ``collect_training_frames`` keys minus ``y`` (residuals
-    have no cheap exact target; training uses the unsupervised DivNorm
-    objective, for which a residual is just another Poisson problem), so
-    :func:`repro.models.merge_datasets` combines both dicts directly.
-    Pass ``data`` to reuse an existing rhs collection instead of
-    re-simulating.
-    """
-    from repro.fluid import GeometryKernels, MIC0Preconditioner
-    from repro.fluid.laplacian import remove_nullspace
-
-    if data is None:
-        data = collect_training_frames(problems, n_steps=n_steps, stride=stride, config=config)
-    bs = data["b"][:max_problems, 0]
-    solids = data["solid"][:max_problems].astype(bool)
-
-    xs: list[tuple[np.ndarray, np.ndarray]] = []
-    for b, solid in zip(bs, solids):
-        kern = GeometryKernels(solid)
-        apply_m = kern.mic_factor(MIC0Preconditioner(solid)).apply
-        bf = kern.gather(remove_nullspace(b, solid))
-        bnorm = float(np.abs(bf).max())
-        if bnorm < 1e-300:
-            continue
-        pf = np.zeros(kern.n)
-        rf = bf.copy()
-        z = apply_m(rf)
-        s = z.copy()
-        sigma = float(z @ rf)
-        for it in range(max_iterations):
-            if it % residual_stride == 0 and it > 0:
-                sg = float(rf.std())
-                if sg > 1e-12:
-                    xs.append((kern.scatter(rf / sg), solid))
-            w = kern.matvec(s)
-            denom = float(w @ s)
-            if abs(denom) < 1e-300:
-                break
-            alpha = sigma / denom
-            pf += alpha * s
-            rf -= alpha * w
-            if float(np.abs(rf).max()) <= tol * bnorm:
-                break
-            z = apply_m(rf)
-            sigma_new = float(z @ rf)
-            s = z + (sigma_new / sigma) * s
-            sigma = sigma_new
-
-    if not xs:
-        raise ValueError("no residual frames harvested (solves converged immediately?)")
-    x = np.stack([np.stack([r, solid.astype(np.float64)]) for r, solid in xs])
-    solid_arr = np.stack([solid for _, solid in xs])
-    return {
-        "x": x,
-        "b": x[:, :1],
-        "solid": solid_arr,
-        "weights": np.stack([divnorm_weights(s) for s in solid_arr]),
     }

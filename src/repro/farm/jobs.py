@@ -31,7 +31,7 @@ __all__ = ["JobSpec", "JobResult", "SOLVER_CHOICES", "CACHE_KEY_VERSION"]
 CACHE_KEY_VERSION = 2
 
 #: solver identifiers a JobSpec may request
-SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn", "nn-pcg")
+SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn")
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,10 @@ class JobSpec:
         Keyword arguments forwarded to the solver constructor (e.g.
         ``{"tol": 1e-4}`` for PCG, ``{"passes": 2}`` for NN).
     model_dir:
-        For ``solver="nn"`` / ``solver="nn-pcg"``: directory saved by
-        :func:`repro.io.save_model` holding trained weights.  ``None``
-        builds a seeded untrained Tompson-style network (useful for
-        throughput work; the pure-NN solver then leans on the
-        defect-correction passes and the divergence guard, while nn-pcg's
-        safeguard keeps it exact regardless).
+        For ``solver="nn"``: directory saved by :func:`repro.io.save_model`
+        holding trained weights.  ``None`` builds a seeded untrained
+        Tompson-style network (useful for throughput work; the solver then
+        leans on the defect-correction passes and the divergence guard).
     divnorm_limit:
         Quality requirement: if a step's DivNorm exceeds this (or is not
         finite) the run is declared *diverged* and degrades to exact PCG.

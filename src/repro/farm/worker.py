@@ -97,19 +97,6 @@ def build_solver(spec: JobSpec, kind: str, metrics: MetricsRegistry):
             channels = params.pop("channels", 4)
             model = tompson_arch(channels).build(rng=spec.seed)
         return NNProjectionSolver(model, passes=passes, metrics=metrics, **params)
-    if kind == "nn-pcg":
-        from repro.fluid import NNPCGSolver
-
-        if spec.model_dir is not None:
-            from repro.io import load_model
-
-            model = load_model(spec.model_dir).network
-        else:
-            from repro.models import tompson_arch
-
-            channels = params.pop("channels", 4)
-            model = tompson_arch(channels).build(rng=spec.seed)
-        return NNPCGSolver(model, metrics=metrics, **params)
     raise ValueError(f"unknown solver kind {kind!r}")
 
 
@@ -263,7 +250,6 @@ def run_job(
                 degraded = True
                 failed_kind = solver_kind
                 solver_kind = "pcg"
-                m.inc("farm/degradations")
                 # labeled by the solver that *failed*, not the fallback target:
                 # the fleet-level question is "which solver degrades, where"
                 m.families.counter(

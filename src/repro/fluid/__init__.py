@@ -12,7 +12,6 @@ from .laplacian import PoissonSystem, build_poisson_system, stencil_arrays, pois
 from .solver_api import MaskKeyedCache
 from .kernels import GeometryKernels, MICTriangularFactor, spectral_eligible
 from .pcg import JacobiSolver, MIC0Preconditioner, PCGSolver, SolveResult, jacobi_solve
-from .nn_pcg import NNPCGSolver
 from .spectral import SpectralSolver
 from .multigrid import MultigridSolver, build_hierarchy, vcycle
 from .advection import advect_scalar, advect_velocity, maccormack_scalar
@@ -74,7 +73,6 @@ __all__ = [
     "spectral_eligible",
     "MIC0Preconditioner",
     "PCGSolver",
-    "NNPCGSolver",
     "JacobiSolver",
     "SolveResult",
     "jacobi_solve",

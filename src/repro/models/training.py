@@ -27,7 +27,6 @@ __all__ = [
     "TrainedModel",
     "rollout_frames",
     "train_model",
-    "train_nn_pcg_model",
     "merge_datasets",
 ]
 
@@ -51,20 +50,6 @@ class TrainedModel:
     def solver(self, passes: int = 2) -> NNProjectionSolver:
         """Wrap the trained network as a pressure solver."""
         return NNProjectionSolver(self.network, name=self.name, passes=passes)
-
-    def nn_pcg_solver(self, **kwargs):
-        """Wrap the trained network as an exact NN-preconditioned CG solver.
-
-        Keyword arguments pass through to
-        :class:`repro.fluid.NNPCGSolver` (``tol``, ``window``, ``cycles``,
-        ``precision``, ...).  Unlike :meth:`solver`, the result converges
-        to PCG tolerance on every input — the network only steers the
-        search directions.
-        """
-        from repro.fluid import NNPCGSolver
-
-        kwargs.setdefault("name", f"{self.name}_pcg")
-        return NNPCGSolver(self.network, **kwargs)
 
 
 class _HarvestingSolver:
@@ -166,47 +151,3 @@ def train_model(
         solver.solve(b, solid)
     inference = (time.perf_counter() - t0) / reps
     return TrainedModel(spec=spec, network=net, history=history, inference_seconds=inference)
-
-
-def train_nn_pcg_model(
-    problems=None,
-    spec: ArchSpec | None = None,
-    epochs: int = 30,
-    lr: float = 2e-3,
-    batch_size: int = 16,
-    rng=0,
-    n_steps: int = 8,
-    grid_size: int = 64,
-    n_problems: int = 6,
-) -> TrainedModel:
-    """The reproducible training recipe behind the NN-preconditioned solver.
-
-    Direction networks for :class:`repro.fluid.NNPCGSolver` must handle
-    both the step's Poisson rhs (iteration 1) and the CG residuals every
-    later iteration feeds them.  This merges the standard rhs dataset
-    (:func:`repro.data.collect_training_frames`) with harvested MIC(0)-PCG
-    residual frames (:func:`repro.data.collect_residual_frames`) and fits
-    the unsupervised DivNorm objective — a residual is just another
-    Poisson problem, so no extra labels are needed.  Training at 64²
-    transfers to larger grids because the solver applies the network
-    across a restriction pyramid whose levels match the training scale.
-
-    The committed bench weights (``results/models/nn_pcg_bench``) are the
-    output of this function at its defaults; see ``repro.benchmark``.
-    """
-    from repro.data import (
-        collect_residual_frames,
-        collect_training_frames,
-        generate_problems,
-    )
-
-    if problems is None:
-        problems = generate_problems(n_problems, grid_size, split="train")
-    data = collect_training_frames(problems, n_steps=n_steps)
-    residuals = collect_residual_frames(problems, data=data)
-    merged = merge_datasets(data, residuals)
-    if spec is None:
-        from .tompson import tompson_arch
-
-        spec = tompson_arch(channels=8, name="nn_pcg")
-    return train_model(spec, merged, epochs=epochs, lr=lr, batch_size=batch_size, rng=rng)

@@ -206,23 +206,28 @@ class SimulationService:
     def _register_series(self) -> None:
         """Declare the recorded series the stock SLOs evaluate against."""
         counters = self.metrics.counters
+        families = self.metrics.families
         rec = self.recorder
 
         def flat(*names: str):
             return lambda: sum(counters.get(n, 0.0) for n in names)
 
-        rec.add_source("serve_submitted", flat("serve/submitted"))
+        def degradations() -> float:
+            # declared by the workers and merged home with their results
+            family = families.get("farm_pcg_fallbacks_total")
+            return family.total() if family is not None else 0.0
+
+        rec.add_source("serve_submitted", self._submit_total.total)
         rec.add_source("serve_rejected", flat("serve/rejected"))
         rec.add_source("serve_cache_misses", flat("serve/cache/misses"))
         rec.add_source(
             "serve_cache_requests", flat("serve/cache/hits", "serve/cache/misses")
         )
-        rec.add_source("serve_jobs_failed", flat("serve/jobs_failed"))
         rec.add_source(
-            "serve_jobs_finished",
-            flat("serve/jobs_completed", "serve/jobs_failed", "serve/jobs_cancelled"),
+            "serve_jobs_failed", lambda: self._jobs_by_status.value(status="failed")
         )
-        rec.add_source("farm_degradations", flat("farm/degradations"))
+        rec.add_source("serve_jobs_finished", self._jobs_by_status.total)
+        rec.add_source("farm_degradations", degradations)
         rec.add_source("serve_queue_depth", lambda: self.pool.queue_depth)
         rec.add_source("serve_workers", lambda: self.pool.alive)
         rec.add_source("serve_workers_busy", lambda: self.pool.busy)
@@ -377,7 +382,6 @@ class SimulationService:
             q.put_nowait(terminal)
             q.put_nowait(None)  # sentinel: stream is over
         job.watchers.clear()
-        self.metrics.inc(f"serve/jobs_{result.status}")
         self._jobs_by_status.inc(status=result.status)
         if job.submitted_at:
             elapsed = time.time() - job.submitted_at
@@ -411,7 +415,6 @@ class SimulationService:
             submitted_at=time.time(),
             future=self._loop.create_future(),
         )
-        self.metrics.inc("serve/submitted")
         scenario = spec.scenario.split(":", 1)[0]
         if self.cache is not None:
             hit = self.cache.get(spec.cache_key())

@@ -77,7 +77,6 @@ EVENT_TYPES = frozenset(
         "divnorm",  # per-step DivNorm sample (Eq. 5 / Figure 5 trajectory)
         "model_switch",  # Algorithm 2 switched the runtime model
         "pcg_fallback",  # Algorithm 2 gave up / farm degraded to exact PCG
-        "nn_precond",  # Algorithm 2 escalated to the NN-preconditioned CG solver
         "checkpoint",  # a job checkpoint was written
         "plan_build",  # an NN inference plan was compiled
         "job_start",  # a farm job (attempt) began executing

@@ -10,7 +10,9 @@ from repro.core import (
 )
 from repro.data import InputProblem
 from repro.fluid import FluidSimulator, RestartRequested
+from repro.metrics import MetricsRegistry
 from repro.models import TrainedModel, tompson_arch
+from repro.trace import Tracer, set_tracer
 
 
 def make_selected(name, seconds, prob, channels=4, rng=0):
@@ -87,34 +89,24 @@ class TestSwitchingBehaviour:
     def test_restart_when_no_better_model(self):
         cands = [make_selected("only", 1.0, 0.9)]
         knn = make_knn({"only": 0.9})  # always predicted to violate
-        ctl = AdaptiveController(cands, knn, 0.01, 16)
-        with pytest.raises(RestartRequested):
-            run_sim(ctl)
+        metrics = MetricsRegistry()
+        ctl = AdaptiveController(cands, knn, 0.01, 16, metrics=metrics)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            with pytest.raises(RestartRequested):
+                run_sim(ctl)
+        finally:
+            set_tracer(previous)
         assert ctl.stats.restart_requested
-
-    def test_escalates_to_nn_precond_instead_of_restarting(self):
-        from repro.fluid import NNPCGSolver
-
-        cands = [make_selected("only", 1.0, 0.9)]
-        knn = make_knn({"only": 0.9})  # always predicted to violate
-        nn_pcg = NNPCGSolver(cands[0].model.network)
-        ctl = AdaptiveController(cands, knn, 0.01, 16, nn_pcg=nn_pcg)
-        res = run_sim(ctl)  # no RestartRequested
-        assert len(res.records) == 16
-        assert not ctl.stats.restart_requested
-        assert ctl.stats.nn_precond_step is not None
-        # all post-escalation steps are accounted to the exact solver
-        assert ctl.stats.steps_per_model.get(nn_pcg.name, 0) > 0
-
-    def test_escalation_records_a_switch_event(self):
-        from repro.fluid import NNPCGSolver
-
-        cands = [make_selected("only", 1.0, 0.9)]
-        knn = make_knn({"only": 0.9})
-        nn_pcg = NNPCGSolver(cands[0].model.network)
-        ctl = AdaptiveController(cands, knn, 0.01, 16, nn_pcg=nn_pcg)
-        run_sim(ctl)
-        assert any(s.to_model == nn_pcg.name for s in ctl.stats.switches)
+        events = metrics.families.counter(
+            "scheduler_events_total", labels=("event", "solver", "scenario")
+        )
+        assert events.value(event="pcg_fallback", solver="pcg", scenario="smoke_plume") == 1
+        assert events.total() == 1
+        (fallback,) = tracer.events("pcg_fallback")
+        assert fallback.attrs["predicted_qloss"] == pytest.approx(0.9)
+        assert fallback.attrs["q_requirement"] == 0.01
 
     def test_upgrade_only_sticks_after_satisfied(self):
         cands = [make_selected("fast", 1.0, 0.5), make_selected("slow", 2.0, 0.9, rng=1)]

@@ -40,6 +40,7 @@ class TestJobSpec:
             {"checkpoint_every": -1},
             {"max_retries": -1},
             {"fail_mode": "explode"},
+            {"solver": "nn-pcg"},  # deleted solver kind
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -172,7 +172,8 @@ class TestProcessBackend:
         assert report.results[0].ok
         assert report.results[0].degraded
         assert report.results[0].solver_used == "pcg"
-        assert report.metrics.counter("farm/degradations") == 1
+        fallbacks = report.metrics.families.get("farm_pcg_fallbacks_total")
+        assert fallbacks.value(solver="nn", scenario="smoke_plume") == 1
 
 
 class TestBatchedBackend:
@@ -345,12 +346,24 @@ class TestResizablePool:
         assert res.steps_done < 400
 
     def test_priority_orders_queued_jobs(self):
+        import threading
+
+        # hold the only worker inside "head" until both "low" and "high"
+        # are queued, so "low" can never reach an idle worker first
+        started, release = threading.Event(), threading.Event()
+
+        def on_event(event):
+            if event.get("type") == "job_start" and event.get("job_id") == "head":
+                started.set()
+                release.wait(60)
+
         results = []
-        pool = self._pool(results, workers=1)
+        pool = self._pool(results, workers=1, on_event=on_event)
         pool.submit(JobSpec(job_id="head", grid_size=24, steps=8))
-        assert self._wait(lambda: pool.busy == 1)
+        assert started.wait(30)
         pool.submit(JobSpec(job_id="low", grid_size=12, steps=2), priority=5)
         pool.submit(JobSpec(job_id="high", grid_size=12, steps=2), priority=0)
+        release.set()
         assert pool.drain(timeout=120)
         pool.shutdown()
         order = [r.job_id for r in results]

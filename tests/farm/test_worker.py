@@ -47,7 +47,8 @@ class TestRunJob:
         assert res.degraded
         assert res.solver_used == "pcg"
         assert res.steps_done == 4
-        assert m.counter("farm/degradations") == 1
+        fallbacks = m.families.get("farm_pcg_fallbacks_total")
+        assert fallbacks.value(solver="nn", scenario="smoke_plume") == 1
 
     def test_injection_skipped_on_retry_attempts(self):
         res = run_job(spec(fail_at_step=2), attempt=1)

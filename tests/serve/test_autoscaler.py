@@ -42,7 +42,7 @@ def _wait(predicate, timeout=30.0):
 
 
 class TestAutoscalerOnPool:
-    def _pool(self, results, workers=1):
+    def _pool(self, results, workers=1, on_event=None):
         lock = threading.Lock()
 
         def on_result(r):
@@ -52,6 +52,7 @@ class TestAutoscalerOnPool:
         return Pool(
             workers=workers,
             metrics=MetricsRegistry(),
+            on_event=on_event,
             on_result=on_result,
             poll_seconds=0.01,
         )
@@ -78,23 +79,36 @@ class TestAutoscalerOnPool:
         and the excess workers must exit at job boundaries (counted by
         ``farm/pool/drained_exits``), not be terminated.
         """
+        # every job blocks in its job_start event until the second tick,
+        # so no job can finish before all three are running
+        started = threading.Semaphore(0)
+        release = threading.Event()
+
+        def on_event(event):
+            if event.get("type") == "job_start":
+                started.release()
+                release.wait(60)
+
         results = []
-        pool = self._pool(results)
+        pool = self._pool(results, on_event=on_event)
         scaler = Autoscaler(pool, min_workers=1, max_workers=3)
         try:
             for i in range(3):
                 pool.submit(JobSpec(job_id=f"s{i}", grid_size=24, steps=8))
             assert scaler.tick() == 3
+            assert all(started.acquire(timeout=30) for _ in range(3))
             assert _wait(lambda: pool.busy == 3)
             # queue is empty but three jobs are running: the policy holds
             # all three workers — busy jobs are demand too
             assert scaler.tick() == 3
+            release.set()
             assert _wait(lambda: len(results) == 3)
             # now idle: the autoscaler shrinks to the floor by draining
             assert scaler.tick() == 1
             assert pool.workers == 1
             assert _wait(lambda: pool.alive == 1)
         finally:
+            release.set()
             pool.shutdown(drain=True, timeout=60.0)
         assert all(r.ok and r.steps_done == 8 for r in results)
         assert pool.metrics.counter("farm/pool/drained_exits") >= 2

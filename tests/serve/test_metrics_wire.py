@@ -87,7 +87,7 @@ class TestMetricsWireOp:
         assert 'tenant="alpha"' in text
         # autoscaler gauges and flat counters render on the same page
         assert "# TYPE repro_serve_workers gauge" in text
-        assert "repro_serve_submitted_total 2" in text
+        assert "repro_serve_cache_hits_total 1" in text
         # worker-side solver families merged home through the pool
         assert "# TYPE repro_solver_iterations histogram" in text
 

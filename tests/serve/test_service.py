@@ -276,3 +276,46 @@ class TestServiceEndToEnd:
         assert stats["admission"]["t"]["admitted"] == 1
         assert stats["cache"]["puts"] == 1
         assert stats["pool"]["max_workers"] == 2
+
+
+class TestRecordedSeries:
+    def test_series_count_every_submit_and_terminal_outcome(self, tmp_path):
+        """The SLO series read the labeled families: one accepted, one
+        cached, one rate-rejected and one failed (degraded, then failed
+        again) job land in the same counts the submit and job-end paths
+        record."""
+        now = [0.0]  # frozen clock: the limited tenant's bucket never refills
+        service = make_service(
+            tmp_path,
+            quotas={"limited": TenantQuota(rate=1e-3, burst=1, max_pending=None)},
+            clock=lambda: now[0],
+        )
+        doomed = JobSpec(job_id="e", grid_size=16, seed=3, steps=3, divnorm_limit=1e-30)
+
+        async def run():
+            await service.start()
+            try:
+                service.submit(spec("a"))  # accepted
+                await service.result("a", timeout=120.0)
+                service.submit(spec("b"))  # cached: same spec as "a"
+                service.submit(spec("c", seed=1), tenant="limited")  # accepted
+                with pytest.raises(QuotaExceededError):
+                    service.submit(spec("d", seed=2), tenant="limited")
+                service.submit(doomed)  # fails under the fallback PCG too
+                return await asyncio.gather(
+                    *(service.result(j, timeout=120.0) for j in ("b", "c", "e"))
+                )
+            finally:
+                await service.stop(drain=True, timeout=60.0)
+
+        results = asyncio.run(run())
+        assert [r.status for r in results] == ["completed", "completed", "failed"]
+        assert results[0].cached
+        now[0] += 10.0
+        assert service.recorder.tick()
+        latest = service.recorder.latest
+        assert latest("serve_submitted") == 5
+        assert latest("serve_rejected") == 1
+        assert latest("serve_jobs_failed") == 1
+        assert latest("serve_jobs_finished") == 4
+        assert latest("farm_degradations") == 1
