@@ -98,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="pcg",
     )
     sim.add_argument(
-        "--precision", choices=["fp32", "fp64"], default="fp64",
-        help="NN inference precision (nn solver only): fp32 compiles "
-        "the fast single-precision plan, fp64 stays bitwise-identical to the "
-        "legacy forward",
-    )
-    sim.add_argument(
         "--model", type=str, default=None, metavar="DIR",
         help="trained-model directory (repro.io.save_model layout) for the "
         "nn solver; default: seeded untrained Tompson network",
@@ -189,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--solver-backend", choices=["kernel", "reference"], default=None,
             help="PCG execution backend for pcg/jacobi-pcg jobs "
             "(default: the solver's own default, kernel)",
-        )
-        p.add_argument(
-            "--precision", choices=["fp32", "fp64"], default="fp64",
-            help="NN inference precision for nn jobs (fp64 = bitwise-identical "
-            "default, fp32 = fast single-precision plan)",
         )
         p.add_argument(
             "--backend", choices=["process", "batched", "serial"], default="process",
@@ -419,9 +408,7 @@ def _cmd_simulate(args) -> int:
             from repro.models import tompson_arch
 
             network = tompson_arch(4).build(rng=args.seed)
-        return NNProjectionSolver(
-            network, passes=2, metrics=metrics, precision=args.precision
-        )
+        return NNProjectionSolver(network, passes=2, metrics=metrics)
 
     solver = {
         "pcg": lambda: PCGSolver(
@@ -461,7 +448,6 @@ def _cmd_simulate(args) -> int:
                         "scenario": sspec.to_string(),
                         "solver": args.solver,
                         "backend": args.backend,
-                        "precision": args.precision,
                         "warm_start": args.warm_start,
                     },
                     "total_seconds": dt,
@@ -634,8 +620,6 @@ def _build_farm_specs(args) -> list:
     solver_params = {}
     if args.solver_backend is not None and args.solver in ("pcg", "jacobi-pcg"):
         solver_params["backend"] = args.solver_backend
-    if args.solver == "nn" and args.precision != "fp64":
-        solver_params["precision"] = args.precision
     model_dir = args.model if args.solver == "nn" else None
     return [
         JobSpec(

@@ -28,7 +28,11 @@ __all__ = ["JobSpec", "JobResult", "SOLVER_CHOICES", "CACHE_KEY_VERSION"]
 #: v2: ``model_dir`` is content-addressed (weights-manifest digest) instead
 #: of canonicalising the directory *path* — retraining in place now re-keys
 #: the job, and relocating identical weights keeps its key.
-CACHE_KEY_VERSION = 2
+#: v3: NN inference runs through the single-precision plan, so an ``nn``
+#: spec computes different results under unchanged fields — v2 entries and
+#: checkpoints came from the float64 forward and must not be served or
+#: resumed.
+CACHE_KEY_VERSION = 3
 
 #: solver identifiers a JobSpec may request
 SOLVER_CHOICES = ("pcg", "jacobi-pcg", "jacobi", "multigrid", "spectral", "nn")
@@ -56,7 +60,9 @@ class JobSpec:
         Requested pressure solver (one of :data:`SOLVER_CHOICES`).
     solver_params:
         Keyword arguments forwarded to the solver constructor (e.g.
-        ``{"tol": 1e-4}`` for PCG, ``{"passes": 2}`` for NN).
+        ``{"tol": 1e-4}`` for PCG, ``{"passes": 2}`` for NN); a key the
+        solver does not take (:func:`repro.farm.worker.solver_param_names`)
+        raises ``ValueError``.
     model_dir:
         For ``solver="nn"``: directory saved by :func:`repro.io.save_model`
         holding trained weights.  ``None`` builds a seeded untrained
@@ -119,6 +125,14 @@ class JobSpec:
         object.__setattr__(self, "scenario", sspec.to_string())
         # frozen dataclass: route around __setattr__ to normalise the dict
         object.__setattr__(self, "solver_params", dict(self.solver_params))
+        from .worker import solver_param_names
+
+        unknown = set(self.solver_params) - solver_param_names(self.solver)
+        if unknown:
+            raise ValueError(
+                f"solver {self.solver!r} takes no solver_params {sorted(unknown)}; "
+                f"expected keys from {sorted(solver_param_names(self.solver))}"
+            )
 
     @property
     def scenario_spec(self):

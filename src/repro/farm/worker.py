@@ -23,6 +23,8 @@ which then resumes from the checkpoint in step 2.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import time
 from pathlib import Path
@@ -50,6 +52,7 @@ __all__ = [
     "SimulationDiverged",
     "build_solver",
     "run_job",
+    "solver_param_names",
 ]
 
 #: environment marker set by the process-pool entry so ``fail_mode="crash"``
@@ -63,6 +66,30 @@ class InjectedWorkerFailure(RuntimeError):
 
 class SimulationDiverged(RuntimeError):
     """The run violated its quality requirement (DivNorm guard)."""
+
+
+@functools.cache
+def solver_param_names(kind: str) -> frozenset[str]:
+    """The ``solver_params`` keys :func:`build_solver` accepts for ``kind``.
+
+    The solver constructor's keyword arguments, less those build_solver
+    sets itself and spectral's ``fallback`` (a solver object, not a JSON
+    value), plus nn's ``channels`` (width of the untrained default
+    network).  :class:`JobSpec` rejects every other key when it is built,
+    so a bad key fails the spec instead of the job.
+    """
+    from repro.models import NNProjectionSolver
+
+    ctor, fixed = {
+        "pcg": (PCGSolver, set()),
+        "jacobi-pcg": (PCGSolver, {"preconditioner"}),
+        "jacobi": (JacobiSolver, set()),
+        "multigrid": (MultigridSolver, set()),
+        "spectral": (SpectralSolver, {"fallback"}),
+        "nn": (NNProjectionSolver, {"model"}),
+    }[kind]
+    names = set(inspect.signature(ctor).parameters) - fixed - {"metrics"}
+    return frozenset(names | {"channels"} if kind == "nn" else names)
 
 
 def build_solver(spec: JobSpec, kind: str, metrics: MetricsRegistry):
@@ -87,6 +114,7 @@ def build_solver(spec: JobSpec, kind: str, metrics: MetricsRegistry):
         from repro.models import NNProjectionSolver
 
         passes = params.pop("passes", 2)
+        channels = params.pop("channels", 4)
         if spec.model_dir is not None:
             from repro.io import load_model
 
@@ -94,7 +122,6 @@ def build_solver(spec: JobSpec, kind: str, metrics: MetricsRegistry):
         else:
             from repro.models import tompson_arch
 
-            channels = params.pop("channels", 4)
             model = tompson_arch(channels).build(rng=spec.seed)
         return NNProjectionSolver(model, passes=passes, metrics=metrics, **params)
     raise ValueError(f"unknown solver kind {kind!r}")

@@ -427,8 +427,8 @@ class MovingSolidDriver(ScenarioDriver):
     (:meth:`MACGrid2D.set_solid_velocity` — the projection then sees the
     motion as a normal-velocity boundary condition) and purges smoke from
     inside the solid.  Because the solid mask changes between steps, every
-    ``MaskKeyedCache``-backed artefact (MIC(0) factors, geometry kernels,
-    the NN solver's geometry channel) re-keys automatically.
+    ``MaskKeyedCache``-backed artefact (MIC(0) factors, geometry kernels)
+    re-keys automatically.
     """
 
     def __init__(self, base_solid: np.ndarray, mask_at: Callable, velocity_at: Callable):

@@ -18,20 +18,18 @@ The returned pressure is zeroed on solids and mean-centred over fluid,
 matching the exact solver's convention.
 
 Hot-path caching: the stacked network input ``(N, 2, H, W)`` is a reused
-workspace buffer, and the float view of the geometry channel is cached per
-solid mask, so steady-state inference performs no per-call input
-allocations.  ``reset()`` drops both.
+workspace buffer (each call writes the solid masks into its geometry
+channel directly), so steady-state inference performs no per-call input
+allocations.  ``reset()`` drops it.
 
-Inference engine: forward passes run through a compiled
+Inference engine: forward passes run through a compiled single-precision
 :class:`repro.nn.InferencePlan` (built lazily per input shape and batch
-capacity, rebuilt only when either grows).  ``precision="fp64"`` (default)
-compiles the bitwise-replay plan, so results are bit-for-bit identical to
-the legacy layer-by-layer forward; ``precision="fp32"`` compiles the
-single-precision fast path — the normalised residual is cast to float32 on
-the way into the plan and the predicted pressure increment is cast back to
-float64 here at the solver boundary, so everything downstream (PCG-grade
-residual accounting, DivNorm histories, checkpoints) stays double.  Models
-outside the plan vocabulary fall back to the legacy forward (counted via
+capacity, rebuilt only when either grows).  The normalised residual is
+cast to float32 on the way into the plan and the predicted pressure
+increment is cast back to float64 here at the solver boundary, so
+everything downstream (PCG-grade residual accounting, DivNorm histories,
+checkpoints) stays double.  Models outside the plan vocabulary fall back to
+the legacy layer-by-layer forward (counted via
 ``solver/<name>/plan_unsupported``).
 
 Batch dimension: :meth:`NNProjectionSolver.solve_many` assembles *several*
@@ -58,8 +56,6 @@ from repro.trace import get_tracer
 
 __all__ = ["NNProjectionSolver"]
 
-_PRECISIONS = {"fp32": np.float32, "fp64": np.float64}
-
 
 class NNProjectionSolver(PressureSolver):
     """Pressure-solver protocol implementation backed by a neural network."""
@@ -70,20 +66,13 @@ class NNProjectionSolver(PressureSolver):
         name: str = "nn",
         passes: int = 2,
         metrics: MetricsRegistry | None = None,
-        precision: str = "fp64",
     ):
         if passes < 1:
             raise ValueError("passes must be >= 1")
-        if precision not in _PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {sorted(_PRECISIONS)}, got {precision!r}"
-            )
         self.model = model
         self.name = name
         self.passes = passes
-        self.precision = precision
         self._metrics = metrics
-        self._geo_cache = MaskKeyedCache("nn_geometry")
         # multi-entry: batched farm solves interleave several geometries
         self._kernels_cache = MaskKeyedCache("kernels", capacity=16)
         self._x: np.ndarray | None = None  # reused (N, 2, H, W) input workspace
@@ -91,8 +80,7 @@ class NNProjectionSolver(PressureSolver):
         self._plan_unsupported = False
 
     def reset(self) -> None:
-        """Drop the cached geometry channel and all workspace buffers."""
-        self._geo_cache.clear()
+        """Drop the cached geometry kernels and all workspace buffers."""
         self._kernels_cache.clear()
         self._x = None
         self._plan = None
@@ -144,10 +132,7 @@ class NNProjectionSolver(PressureSolver):
         try:
             with metrics.measure(f"solver/{self.name}/plan_build", capacity=capacity):
                 self._plan = InferencePlan(
-                    self.model,
-                    (2,) + shape,
-                    batch_capacity=capacity,
-                    dtype=_PRECISIONS[self.precision],
+                    self.model, (2,) + shape, batch_capacity=capacity
                 )
         except PlanError:
             self._plan = None
@@ -155,11 +140,7 @@ class NNProjectionSolver(PressureSolver):
             metrics.inc(f"solver/{self.name}/plan_unsupported")
             return None
         get_tracer().event(
-            "plan_build",
-            solver=self.name,
-            shape=list(shape),
-            capacity=capacity,
-            precision=self.precision,
+            "plan_build", solver=self.name, shape=list(shape), capacity=capacity
         )
         return self._plan
 
@@ -231,12 +212,7 @@ class NNProjectionSolver(PressureSolver):
             self._x = np.empty((n, 2) + shape, dtype=np.float64)
         x = self._x[:n]
         for i, solid in enumerate(solids):
-            if n == 1:
-                x[i, 1] = self._geo_cache.get(
-                    solid, lambda: solid.astype(np.float64), metrics
-                )
-            else:
-                x[i, 1] = solid
+            x[i, 1] = solid
 
         B = [remove_nullspace(b, s) if nf else np.zeros_like(b) for b, s, nf in zip(bs, solids, nfs)]
         P = [np.zeros_like(b) for b in bs]

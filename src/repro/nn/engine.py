@@ -10,13 +10,12 @@ Incompressible Navier-Stokes Equations to Fast Neural Surrogate Models")
 show fp32 surrogates lose no usable pressure accuracy.
 
 An :class:`InferencePlan` is compiled once per (network, input shape, batch
-capacity, dtype) and then runs forward passes with zero steady-state
-allocations:
+capacity) and then runs forward passes with zero steady-state allocations:
 
 * **workspace arena** — one flat buffer spanning every layer's workspaces
-  (conv pad/column/accumulator buffers, pooling/upsampling outputs,
-  activation buffers), carved into views at build time.  Buffers are sized
-  by *capacity* along the batch axis, so shrinking batches (farm jobs
+  (conv pad/accumulator buffers, pooling/upsampling outputs, activation
+  buffers), carved into views at build time.  Buffers are sized by
+  *capacity* along the batch axis, so shrinking batches (farm jobs
   finishing at different steps) run through leading-axis views of the same
   memory.
 * **fused conv epilogue** — convolution, bias add and the directly
@@ -26,21 +25,13 @@ allocations:
 * **single-precision end to end** — weights are cast **once** at plan
   build, inputs are cast on the way into the arena, and the caller casts
   the pressure back to float64 at the solver boundary.
-
-Two compiled convolution strategies, selected by dtype:
-
-``float64`` — *bitwise replay*.  The plan reproduces exactly the arithmetic
-of the legacy layer-by-layer forward (same im2col operation sequence, same
-operand layouts, NCHW activations), so its output is bitwise identical and
-the default fp64 path through :class:`repro.models.NNProjectionSolver` is
-unchanged by construction.
-
-``float32`` — *shift-and-GEMM*.  Activations live in NHWC layout (channels
-contiguous) and each 2-D convolution runs as k² small channel GEMMs over
-shifted views of the padded input, accumulated in place.  This skips the
-im2col gather entirely — which is latency-bound and dominates the legacy
-forward — on top of halving every GEMM's and copy's byte traffic.  Output
-values differ from fp64 only by float32 rounding.
+* **shift-and-GEMM convolution** — activations live in NHWC layout
+  (channels contiguous) and each 2-D convolution runs as k² small channel
+  GEMMs over shifted views of the padded input, accumulated in place.
+  This skips the im2col gather entirely — which is latency-bound and
+  dominates the legacy forward — on top of halving every GEMM's and copy's
+  byte traffic.  Output values differ from the legacy forward only by
+  float32 rounding.
 
 Networks containing layers outside the inference vocabulary (``Dense``,
 ``Flatten``, custom layers) raise :class:`PlanError` at build time; callers
@@ -50,7 +41,6 @@ fall back to the legacy forward.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from .conv import Conv2d
@@ -59,6 +49,10 @@ from .network import Network, Residual
 from .pool import AvgPool2d, MaxPool2d, Upsample2d
 
 __all__ = ["PlanError", "InferencePlan"]
+
+
+#: element type of every plan buffer and compiled weight
+_DTYPE = np.float32
 
 
 class PlanError(ValueError):
@@ -85,7 +79,7 @@ class _Slot:
 
 # ---------------------------------------------------------------------------
 # in-place activation epilogues (operation sequences mirror the legacy
-# activation layers exactly, so fp64 output stays bitwise identical)
+# activation layers)
 
 
 def _relu_inplace(a: np.ndarray) -> None:
@@ -125,53 +119,11 @@ def _activation_epilogue(layer):
 
 
 # ---------------------------------------------------------------------------
-# compiled steps — ``shape`` is always the logical (C, H, W); the physical
-# buffer layout (NCHW or NHWC) is the plan's choice
-
-
-class _ConvIm2colStep:
-    """fp64 convolution: bitwise replay of the legacy im2col forward."""
-
-    def __init__(self, conv: Conv2d, epilogue, in_slot: _Slot, shape, dtype):
-        c, h, w = shape
-        k = conv.kernel
-        pad = k // 2
-        f = conv.out_channels
-        self.kernel, self.pad, self.out_channels = k, pad, f
-        self.h, self.w, self.in_channels = h, w, c
-        self.epilogue = epilogue
-        # weights cast ONCE at plan build; wmat keeps the legacy (F, C*k*k)
-        # contiguous layout so the GEMM sees identical operand strides
-        self.wmat = np.ascontiguousarray(conv.weight.value.reshape(f, -1).astype(dtype))
-        self.bias = conv.bias.value.astype(dtype)
-        self.in_slot = in_slot
-        self.pad_slot = _Slot((0, c, h + 2 * pad, w + 2 * pad), zero=True)
-        self.cols_slot = _Slot((0, h * w, c * k * k))
-        self.gemm_slot = _Slot((0, h * w, f))
-        self.out_slot = _Slot((0, f, h, w))
-
-    def slots(self) -> list[_Slot]:
-        return [self.pad_slot, self.cols_slot, self.gemm_slot, self.out_slot]
-
-    def run(self, n: int) -> None:
-        k, pad, h, w, c, f = (
-            self.kernel, self.pad, self.h, self.w, self.in_channels, self.out_channels,
-        )
-        xp = self.pad_slot.array[:n]
-        xp[:, :, pad : pad + h, pad : pad + w] = self.in_slot.array[:n]
-        win = sliding_window_view(xp, (k, k), axis=(2, 3))
-        cols = self.cols_slot.array[:n]
-        np.copyto(cols.reshape(n, h, w, c, k, k), win.transpose(0, 2, 3, 1, 4, 5))
-        g = self.gemm_slot.array[:n]
-        np.matmul(cols, self.wmat.T, out=g)
-        g += self.bias
-        if self.epilogue is not None:
-            self.epilogue(g)
-        np.copyto(self.out_slot.array[:n], g.transpose(0, 2, 1).reshape(n, f, h, w))
+# compiled steps — ``shape`` is the logical (C, H, W); buffers are NHWC
 
 
 class _ConvShiftGemmStep:
-    """fp32 convolution: k² shifted channel GEMMs over NHWC activations.
+    """Convolution as k² shifted channel GEMMs over NHWC activations.
 
     Skips the im2col gather (the legacy hot spot): each kernel offset is
     one ``(W, C) @ (C, F)`` matmul over a shifted view of the padded input
@@ -179,7 +131,7 @@ class _ConvShiftGemmStep:
     dense row — accumulated in place into the output buffer.
     """
 
-    def __init__(self, conv: Conv2d, epilogue, in_slot: _Slot, shape, dtype):
+    def __init__(self, conv: Conv2d, epilogue, in_slot: _Slot, shape):
         c, h, w = shape
         k = conv.kernel
         pad = k // 2
@@ -190,9 +142,9 @@ class _ConvShiftGemmStep:
         # weights cast ONCE at plan build, re-laid-out as one contiguous
         # (C, F) GEMM operand per kernel offset
         self.w_off = np.ascontiguousarray(
-            conv.weight.value.transpose(2, 3, 1, 0).astype(dtype)
+            conv.weight.value.transpose(2, 3, 1, 0).astype(_DTYPE)
         )  # (k, k, C, F)
-        self.bias = conv.bias.value.astype(dtype)
+        self.bias = conv.bias.value.astype(_DTYPE)
         self.in_slot = in_slot
         self.pad_slot = _Slot((0, h + 2 * pad, w + 2 * pad, c), zero=True)
         self.tmp_slot = _Slot((0, h, w, f))
@@ -237,19 +189,18 @@ class _ActivationStep:
 
 
 class _PoolStep:
-    """Max or average pooling in either layout."""
+    """Max or average pooling."""
 
-    def __init__(self, factor: int, in_slot: _Slot, shape, layout: str, op: str):
+    def __init__(self, factor: int, in_slot: _Slot, shape, op: str):
         c, h, w = shape
         if h % factor or w % factor:
             raise PlanError(f"spatial dims {h}x{w} not divisible by pool factor {factor}")
         self.factor = factor
         self.shape = shape
-        self.layout = layout
         self.op = op
         self.in_slot = in_slot
         out_shape = (c, h // factor, w // factor)
-        self.out_slot = _Slot(_buf_shape(out_shape, layout))
+        self.out_slot = _Slot(_buf_shape(out_shape))
 
     def slots(self) -> list[_Slot]:
         return [self.out_slot]
@@ -257,29 +208,23 @@ class _PoolStep:
     def run(self, n: int) -> None:
         c, h, w = self.shape
         f = self.factor
-        if self.layout == "nchw":
-            blocks = self.in_slot.array[:n].reshape(n, c, h // f, f, w // f, f)
-            axes = (3, 5)
-        else:
-            blocks = self.in_slot.array[:n].reshape(n, h // f, f, w // f, f, c)
-            axes = (2, 4)
+        blocks = self.in_slot.array[:n].reshape(n, h // f, f, w // f, f, c)
         if self.op == "max":
-            blocks.max(axis=axes, out=self.out_slot.array[:n])
+            blocks.max(axis=(2, 4), out=self.out_slot.array[:n])
         else:
-            blocks.mean(axis=axes, out=self.out_slot.array[:n])
+            blocks.mean(axis=(2, 4), out=self.out_slot.array[:n])
 
 
 class _UpsampleStep:
-    """Nearest-neighbour upsampling in either layout."""
+    """Nearest-neighbour upsampling."""
 
-    def __init__(self, factor: int, in_slot: _Slot, shape, layout: str):
+    def __init__(self, factor: int, in_slot: _Slot, shape):
         c, h, w = shape
         self.factor = factor
         self.shape = shape
-        self.layout = layout
         self.in_slot = in_slot
         out_shape = (c, h * factor, w * factor)
-        self.out_slot = _Slot(_buf_shape(out_shape, layout))
+        self.out_slot = _Slot(_buf_shape(out_shape))
 
     def slots(self) -> list[_Slot]:
         return [self.out_slot]
@@ -287,12 +232,8 @@ class _UpsampleStep:
     def run(self, n: int) -> None:
         c, h, w = self.shape
         f = self.factor
-        if self.layout == "nchw":
-            out6 = self.out_slot.array[:n].reshape(n, c, h, f, w, f)
-            out6[...] = self.in_slot.array[:n, :, :, None, :, None]
-        else:
-            out6 = self.out_slot.array[:n].reshape(n, h, f, w, f, c)
-            out6[...] = self.in_slot.array[:n, :, None, :, None, :]
+        out6 = self.out_slot.array[:n].reshape(n, h, f, w, f, c)
+        out6[...] = self.in_slot.array[:n, :, None, :, None, :]
 
 
 class _ResidualAddStep:
@@ -309,10 +250,10 @@ class _ResidualAddStep:
         self.out_slot.array[:n] += self.block_in.array[:n]
 
 
-def _buf_shape(shape: tuple[int, int, int], layout: str) -> tuple[int, ...]:
-    """Physical buffer shape (leading batch axis reserved as 0) for (C, H, W)."""
+def _buf_shape(shape: tuple[int, int, int]) -> tuple[int, ...]:
+    """NHWC buffer shape (leading batch axis reserved as 0) for (C, H, W)."""
     c, h, w = shape
-    return (0, c, h, w) if layout == "nchw" else (0, h, w, c)
+    return (0, h, w, c)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +273,6 @@ class InferencePlan:
     batch_capacity:
         Maximum stacked batch size; calls with fewer samples reuse the same
         arena through leading-axis views.
-    dtype:
-        ``np.float64`` (bitwise-identical to the legacy forward) or
-        ``np.float32`` (the fast shift-and-GEMM path; weights cast once
-        here).
 
     Attributes
     ----------
@@ -352,15 +289,7 @@ class InferencePlan:
         model,
         input_shape: tuple[int, int, int],
         batch_capacity: int = 1,
-        dtype=np.float64,
     ):
-        self.dtype = np.dtype(dtype)
-        if self.dtype == np.dtype(np.float64):
-            self.layout = "nchw"  # bitwise replay of the legacy forward
-        elif self.dtype == np.dtype(np.float32):
-            self.layout = "nhwc"  # shift-and-GEMM fast path
-        else:
-            raise PlanError(f"unsupported plan dtype {self.dtype}")
         input_shape = tuple(int(d) for d in input_shape)
         if len(input_shape) != 3:
             raise PlanError(f"input_shape must be (C, H, W), got {input_shape}")
@@ -371,7 +300,7 @@ class InferencePlan:
         self.runs = 0
         self.workspace_reuses = 0
 
-        self._in_slot = _Slot(_buf_shape(input_shape, self.layout))
+        self._in_slot = _Slot(_buf_shape(input_shape))
         slots = [self._in_slot]
         self._steps, self._out_slot, self.output_shape = self._compile(
             self._layers_of(model), self._in_slot, input_shape, slots
@@ -382,7 +311,7 @@ class InferencePlan:
         for s in slots:
             s.shape = (self.capacity,) + tuple(s.shape[1:])
         total = sum(s.size for s in slots)
-        self._arena = np.empty(total, dtype=self.dtype)
+        self._arena = np.empty(total, dtype=_DTYPE)
         offset = 0
         for s in slots:
             view = self._arena[offset : offset + s.size].reshape(s.shape)
@@ -400,7 +329,6 @@ class InferencePlan:
 
     def _compile(self, layers: list, in_slot: _Slot, shape, slots: list[_Slot]):
         """Lower a layer list to steps; returns (steps, out_slot, out_shape)."""
-        conv_cls = _ConvIm2colStep if self.layout == "nchw" else _ConvShiftGemmStep
         steps = []
         cur_slot, cur_shape = in_slot, tuple(shape)
         i = 0
@@ -418,20 +346,20 @@ class InferencePlan:
                     epilogue = _activation_epilogue(layers[i + 1])
                     if epilogue is not None:
                         i += 1
-                step = conv_cls(layer, epilogue, cur_slot, cur_shape, self.dtype)
+                step = _ConvShiftGemmStep(layer, epilogue, cur_slot, cur_shape)
                 cur_shape = (layer.out_channels,) + cur_shape[1:]
             elif _activation_epilogue(layer) is not None:
                 step = _ActivationStep(
-                    _activation_epilogue(layer), cur_slot, _buf_shape(cur_shape, self.layout)
+                    _activation_epilogue(layer), cur_slot, _buf_shape(cur_shape)
                 )
             elif isinstance(layer, MaxPool2d):
-                step = _PoolStep(layer.factor, cur_slot, cur_shape, self.layout, "max")
+                step = _PoolStep(layer.factor, cur_slot, cur_shape, "max")
                 cur_shape = (cur_shape[0], cur_shape[1] // layer.factor, cur_shape[2] // layer.factor)
             elif isinstance(layer, AvgPool2d):
-                step = _PoolStep(layer.factor, cur_slot, cur_shape, self.layout, "avg")
+                step = _PoolStep(layer.factor, cur_slot, cur_shape, "avg")
                 cur_shape = (cur_shape[0], cur_shape[1] // layer.factor, cur_shape[2] // layer.factor)
             elif isinstance(layer, Upsample2d):
-                step = _UpsampleStep(layer.factor, cur_slot, cur_shape, self.layout)
+                step = _UpsampleStep(layer.factor, cur_slot, cur_shape)
                 cur_shape = (cur_shape[0], cur_shape[1] * layer.factor, cur_shape[2] * layer.factor)
             elif isinstance(layer, Dropout):
                 pass  # inverted dropout is the identity at inference
@@ -475,10 +403,10 @@ class InferencePlan:
         return len(self._steps)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """One forward pass; returns a ``(n,) + output_shape`` NCHW view.
+        """One forward pass; returns a ``(n,) + output_shape`` float32 NCHW view.
 
-        The input is cast (and, for fp32, transposed to NHWC) into the
-        arena on the way in.  The returned view is overwritten by the next
+        The input is cast to float32 and transposed to NHWC into the arena
+        on the way in.  The returned view is overwritten by the next
         call, so callers must consume (or copy) it before running the plan
         again.
         """
@@ -492,21 +420,15 @@ class InferencePlan:
             raise ValueError(
                 f"batch size {n} outside plan capacity 1..{self.capacity}"
             )
-        if self.layout == "nchw":
-            np.copyto(self._in_slot.array[:n], x)  # casts at the boundary
-        else:
-            np.copyto(self._in_slot.array[:n], x.transpose(0, 2, 3, 1))
+        np.copyto(self._in_slot.array[:n], x.transpose(0, 2, 3, 1))
         for step in self._steps:
             step.run(n)
         self.runs += 1
         self.workspace_reuses += 1  # every pass runs entirely in the arena
-        out = self._out_slot.array[:n]
-        if self.layout == "nhwc":
-            out = out.transpose(0, 3, 1, 2)
-        return out
+        return self._out_slot.array[:n].transpose(0, 3, 1, 2)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"InferencePlan({self.input_shape}, capacity={self.capacity}, "
-            f"dtype={self.dtype.name}, layout={self.layout}, steps={self.num_steps})"
+            f"steps={self.num_steps})"
         )

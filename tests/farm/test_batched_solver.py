@@ -73,9 +73,6 @@ class TestSolveMany:
         res = solver.solve(b, solid)
         assert res.iterations == 2
         assert metrics.timers["solver/nn/solve"].count == 1
-        # geometry cache still primed by the single-sample path
-        solver.solve(b, solid)
-        assert metrics.counter("cache/nn_geometry/hit") == 1
 
 
 class TestBatchedInferenceService:

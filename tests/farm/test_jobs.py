@@ -41,6 +41,8 @@ class TestJobSpec:
             {"max_retries": -1},
             {"fail_mode": "explode"},
             {"solver": "nn-pcg"},  # deleted solver kind
+            {"solver": "nn", "solver_params": {"precision": "fp32"}},  # deleted option
+            {"solver": "pcg", "solver_params": {"passes": 2}},  # another solver's key
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -55,10 +57,10 @@ class TestCacheKey:
     #: *format regression pin*: any change to the semantic-field set or the
     #: canonicalisation must bump CACHE_KEY_VERSION and re-pin, because a
     #: silent change would mis-address every persisted cache entry
-    #: (v2: model weights are content-addressed, not path-addressed)
-    PINNED_DEFAULT = "0ab97b06df0f06ea7bc7d63f90dd3c958197018b923a1260e23cfa8de4159656"
+    #: (v3: NN specs compute under the single-precision inference plan)
+    PINNED_DEFAULT = "5097cfa99a37a2432911d2a2a30539f7d989fea47d83c8c409294f149e87db43"
     PINNED_DEFAULT_STATE = (
-        "f6ff202d581ad9b40627d52eb59d0c89a8efb11d716329cb0a9967eb86f41b6e"
+        "3f80ea2a26b2aba8df0e6b673dc803a1292ddcdf7354afe87fe8464a21aa213f"
     )
 
     def test_hash_format_is_pinned(self):

@@ -183,15 +183,26 @@ class TestMovingSolids:
         assert counters["sim/cache/mic0/hit"] == steps - 1
 
     def test_nn_geometry_channel_re_keys(self):
+        # each step's solve must see that step's mask, never a stale one:
+        # the reused solver matches a fresh solver on every step's problem
         from repro.models import NNProjectionSolver, tompson_arch
 
-        m = MetricsRegistry()
+        solves = []
+
+        class Recording(NNProjectionSolver):
+            def solve(self, b, solid):
+                res = super().solve(b, solid)
+                solves.append((b.copy(), solid.copy(), res.pressure.copy()))
+                return res
+
         steps = 3
-        solver = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=1, metrics=m)
-        run_scenario("moving_cylinder:grid=16", rng=0, steps=steps, metrics=m, solver=solver)
-        counters = m.to_dict()["counters"]
-        assert counters["sim/cache/nn_geometry/miss"] == steps
-        assert counters.get("sim/cache/nn_geometry/hit", 0.0) == 0.0
+        solver = Recording(tompson_arch(4).build(rng=0), passes=1)
+        run_scenario("moving_cylinder:grid=16", rng=0, steps=steps, solver=solver)
+        assert len(solves) == steps
+        assert not np.array_equal(solves[0][1], solves[-1][1])  # the disc moved
+        for b, solid, pressure in solves:
+            fresh = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=1)
+            np.testing.assert_array_equal(fresh.solve(b, solid).pressure, pressure)
 
     def test_disc_actually_moves_and_stays_rigid(self):
         g, driver = build_scenario("moving_cylinder:grid=24", rng=0)

